@@ -13,13 +13,18 @@
 // encoding E(s) = -sum_i h_i s_i - 1/2 sum_ij J_ij s_i s_j. Usage:
 //
 //	isingsolve -in problem.json -solver bsb -steps 2000 -stop
-//	isingsolve -in problem.json -replicas 8 -workers 4   # replica batch, best kept
-//	isingsolve -in problem.json -replicas 8 -fused       # fused lock-step batch
+//	isingsolve -in problem.json -replicas 8              # fused lock-step replica batch, best kept
+//	isingsolve -in problem.json -solver dsb -quant       # fixed-point dSB field kernels
 //	isingsolve -demo ring -demo-n 11 -solver sa
 //	isingsolve -in big.json -shard -max-shard 256        # shard-and-exchange decomposition
 //
 // The -demo flag generates built-in instances (ring: antiferromagnetic
 // cycle; spinglass: Gaussian couplings) instead of reading a file.
+//
+// The field kernel follows from the instance: CSR or dense couplings by
+// density, the fused replica engine for any multi-replica run without
+// -tracecsv, and bit-packed popcount kernels under -quant wherever they
+// pay. The report names the fixed-point kernels that ran.
 package main
 
 import (
@@ -61,12 +66,9 @@ func main() {
 		dt       = flag.Float64("dt", 0, "SB time step (0 = variant default)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		replicas = flag.Int("replicas", 1, "SB replicas: independent trajectories, best kept")
-		workers  = flag.Int("workers", 0, "concurrent SB replicas (0 = GOMAXPROCS)")
-		fused    = flag.Bool("fused", false, "force the fused replica engine (one coupling stream per step for all replicas); incompatible with -tracecsv")
+		workers  = flag.Int("workers", 0, "concurrent SB replicas under -tracecsv (0 = GOMAXPROCS); other batches run fused on one goroutine")
 		rescue   = flag.Bool("rescue", false, "re-seed a diverged trajectory once with a halved dt instead of quarantining it")
-		sparse   = flag.Bool("sparse", false, "route the solve through the CSR sparse coupler when the instance is sparse enough (bit-identical results, nnz-bound kernels)")
-		quant    = flag.Bool("quant", false, "int8/int16 fixed-point dSB field kernels (quantize J once, integer accumulate); requires -solver dsb")
-		bitpack  = flag.Bool("bitpack", false, "bit-packed popcount dSB field kernels layered on quantization (bit-identical to -quant, faster on dense instances); requires -solver dsb")
+		quant    = flag.Bool("quant", false, "int8/int16 fixed-point dSB field kernels (quantize J once, integer accumulate, bit-packed where it pays); requires -solver dsb")
 		shard    = flag.Bool("shard", false, "decompose the instance into coupled subproblems (shard-and-exchange) instead of solving it whole; incompatible with -tracecsv")
 		maxShard = flag.Int("max-shard", 256, "largest subproblem size under -shard")
 		shardRnd = flag.Int("shard-rounds", 0, "exchange rounds under -shard (0 = solver default)")
@@ -123,11 +125,8 @@ func main() {
 			Trace:    *csv != "",
 			Replicas: *replicas,
 			Workers:  *workers,
-			Fused:    *fused,
 			Rescue:   *rescue,
-			Sparse:   *sparse,
 			Quantize: *quant,
-			BitPack:  *bitpack,
 		}
 		if variant == isinglut.AdiabaticSB && *dt == 0 {
 			opts.Dt = 0.5 // aSB stability limit

@@ -93,10 +93,11 @@ func TestDemoDeterministic(t *testing.T) {
 	}
 }
 
-// TestSparseQuantFlagOptions exercises the SBOptions combinations the
-// -sparse and -quant flags produce: a sparse demo ring solved through the
-// CSR coupler with the quantized dSB kernels, and the -quant with a
-// non-dsb solver misuse the CLI surfaces as an error.
+// TestSparseQuantFlagOptions exercises the SBOptions -quant produces on
+// a sparse demo ring (which the density policy solves through the CSR
+// coupler): the quantized dSB kernels run, the scattered couplings stay
+// on the scalar integer kernels, and -quant with a non-dsb solver is an
+// error.
 func TestSparseQuantFlagOptions(t *testing.T) {
 	prob, err := demoProblem("ring", 32, 3)
 	if err != nil {
@@ -106,14 +107,16 @@ func TestSparseQuantFlagOptions(t *testing.T) {
 		Variant:  isinglut.DiscreteSB,
 		Steps:    300,
 		Seed:     3,
-		Sparse:   true,
 		Quantize: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Quantized {
-		t.Fatal("-sparse -quant -solver dsb did not take the quantized fast path")
+		t.Fatal("-quant -solver dsb did not take the quantized fast path")
+	}
+	if res.BitPacked {
+		t.Fatal("a 32-spin ring passed the bit-packing rule; its rows hold two couplings each")
 	}
 	if len(res.Spins) != 32 {
 		t.Fatalf("got %d spins, want 32", len(res.Spins))
@@ -124,46 +127,24 @@ func TestSparseQuantFlagOptions(t *testing.T) {
 	}
 }
 
-// TestBitpackFlagOptions exercises the SBOptions the -bitpack flag
-// produces: a dense demo instance solved through the popcount kernels
-// (bit-identical to -quant, so the result must match it exactly), and
-// the -bitpack with a non-dsb solver misuse surfacing as an error.
+// TestBitpackFlagOptions: on a dense demo instance -quant alone reaches
+// the bit-packed popcount kernels; no separate flag selects them.
 func TestBitpackFlagOptions(t *testing.T) {
 	prob, err := demoProblem("spinglass", 64, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := isinglut.SBOptions{
-		Variant: isinglut.DiscreteSB,
-		Steps:   300,
-		Seed:    3,
-	}
-	quantOpts := base
-	quantOpts.Quantize = true
-	quant, err := isinglut.SolveIsing(prob, quantOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packOpts := base
-	packOpts.BitPack = true
-	packed, err := isinglut.SolveIsing(prob, packOpts)
+	packed, err := isinglut.SolveIsing(prob, isinglut.SBOptions{
+		Variant:  isinglut.DiscreteSB,
+		Steps:    300,
+		Seed:     3,
+		Quantize: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !packed.BitPacked || !packed.Quantized {
-		t.Fatalf("-bitpack -solver dsb did not take the packed path: %+v",
+		t.Fatalf("-quant -solver dsb did not take the packed path: %+v",
 			[]bool{packed.Quantized, packed.BitPacked})
-	}
-	if packed.Energy != quant.Energy {
-		t.Fatalf("-bitpack energy %v differs from -quant energy %v", packed.Energy, quant.Energy)
-	}
-	for i := range quant.Spins {
-		if packed.Spins[i] != quant.Spins[i] {
-			t.Fatalf("-bitpack spin %d differs from -quant", i)
-		}
-	}
-	// -bitpack with the default bsb solver must be rejected, not ignored.
-	if _, err := isinglut.SolveIsing(prob, isinglut.SBOptions{BitPack: true}); err == nil {
-		t.Fatal("-bitpack without -solver dsb accepted")
 	}
 }

@@ -123,8 +123,8 @@ func theorem3Hook(f *Formulation) func(iter int, x, y []float64) {
 // among the replicas that ran; Solution.Batch records the per-replica
 // stop reasons.
 //
-// Without the Theorem-3 heuristic the batch auto-fuses (sb.FuseAuto):
-// every replica advances in lock-step through one shared stream of the
+// Without the Theorem-3 heuristic sb.SolveBatch fuses the batch: every
+// replica advances in lock-step through one shared stream of the
 // bipartite coupling block per step. Theorem3 installs a per-replica
 // sample hook, which forces the per-replica goroutine engine (up to
 // workers concurrent); the two engines return bit-identical results.

@@ -3,6 +3,7 @@ package ising
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -83,16 +84,19 @@ func NewSparseFromDense(d *Dense) *Sparse {
 
 // NewSparseFromTriplets builds a symmetric CSR coupling from (i, j, v)
 // triplets. Each triplet contributes to both J_ij and J_ji; duplicate
-// coordinates accumulate. Diagonal or out-of-range entries are an error.
+// coordinates accumulate, left to right in input order, so the stored
+// value is bit-identical to that running sum however the duplicates
+// are spread or mirrored. Diagonal or out-of-range entries are an error.
+// The build is O(len(ts) + n): two stable counting passes, by column and
+// then by row, leave the entries row-major with duplicates adjacent and
+// still in input order.
 func NewSparseFromTriplets(n int, ts []Triplet) (*Sparse, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("ising: invalid spin count %d", n)
 	}
-	type entry struct {
-		i, j int
-		v    float64
-	}
-	es := make([]entry, 0, 2*len(ts))
+	// Each triplet adds one entry to row (and column) I and one to J, so
+	// the row and column counts coincide.
+	start := make([]int32, n+1)
 	for _, t := range ts {
 		if t.I < 0 || t.I >= n || t.J < 0 || t.J >= n {
 			return nil, fmt.Errorf("ising: triplet (%d,%d) out of range for n=%d", t.I, t.J, n)
@@ -100,43 +104,71 @@ func NewSparseFromTriplets(n int, ts []Triplet) (*Sparse, error) {
 		if t.I == t.J {
 			return nil, fmt.Errorf("ising: diagonal coupling J_%d%d must stay zero", t.I, t.J)
 		}
-		es = append(es, entry{t.I, t.J, t.V}, entry{t.J, t.I, t.V})
-	}
-	sort.Slice(es, func(a, b int) bool {
-		if es[a].i != es[b].i {
-			return es[a].i < es[b].i
-		}
-		return es[a].j < es[b].j
-	})
-	s := NewSparse(n)
-	s.col = make([]int32, 0, len(es))
-	s.val = make([]float64, 0, len(es))
-	prevI, prevJ := -1, -1
-	for _, e := range es {
-		if e.i == prevI && e.j == prevJ {
-			s.val[len(s.val)-1] += e.v
-			continue
-		}
-		s.col = append(s.col, int32(e.j))
-		s.val = append(s.val, e.v)
-		s.rowPtr[e.i+1]++
-		prevI, prevJ = e.i, e.j
+		start[t.I+1]++
+		start[t.J+1]++
 	}
 	for r := 0; r < n; r++ {
-		s.rowPtr[r+1] += s.rowPtr[r]
+		start[r+1] += start[r]
 	}
+	type entry struct {
+		row, col int32
+		v        float64
+	}
+	byCol := make([]entry, 2*len(ts))
+	next := slices.Clone(start[:n])
+	for _, t := range ts {
+		i, j := int32(t.I), int32(t.J)
+		byCol[next[j]] = entry{i, j, t.V}
+		next[j]++
+		byCol[next[i]] = entry{j, i, t.V}
+		next[i]++
+	}
+	col := make([]int32, len(byCol))
+	val := make([]float64, len(byCol))
+	copy(next, start[:n])
+	for _, e := range byCol {
+		col[next[e.row]] = e.col
+		val[next[e.row]] = e.v
+		next[e.row]++
+	}
+	// Merge the adjacent duplicates in place, row by row.
+	s := NewSparse(n)
+	w := int32(0)
+	for r := 0; r < n; r++ {
+		rowStart := w
+		for k := start[r]; k < start[r+1]; k++ {
+			if w > rowStart && col[w-1] == col[k] {
+				val[w-1] += val[k]
+				continue
+			}
+			col[w], val[w] = col[k], val[k]
+			w++
+		}
+		s.rowPtr[r+1] = w
+	}
+	s.col, s.val = col[:w:w], val[:w:w]
 	return s, nil
 }
 
-// CompactCoupler applies the density auto-pick: a dense coupling at or
-// below DefaultSparseDensity is converted to CSR, a denser one is
-// returned unchanged. Results are bit-identical either way; only the
-// kernel cost changes.
-func CompactCoupler(d *Dense) Coupler {
-	if d.Density() <= DefaultSparseDensity {
-		return NewSparseFromDense(d)
+// CompactCoupler applies the density policy that picks every solve's
+// coupler representation: CSR at or below DefaultSparseDensity, dense
+// above it. A dense coupling that is sparse enough is converted to CSR,
+// a CSR coupling that is too dense is materialized, and anything else
+// (already in its right form, or another coupler kind such as
+// Bipartite) is returned unchanged. Results are bit-identical either
+// way; only the kernel cost changes.
+func CompactCoupler(c Coupler) Coupler {
+	switch c := c.(type) {
+	case *Dense:
+		if c.Density() <= DefaultSparseDensity {
+			return NewSparseFromDense(c)
+		}
+	case *Sparse:
+		if c.Density() > DefaultSparseDensity {
+			return c.ToDense()
+		}
 	}
-	return d
+	return c
 }
 
 // N implements Coupler.

@@ -102,6 +102,34 @@ func TestSparseFromTriplets(t *testing.T) {
 		}
 	}
 
+	// Many duplicates, mirrored at random: each stored value must be the
+	// left-to-right sum of its triplets (float addition does not
+	// reassociate), the order in which a caller summing them itself
+	// would get. 200 triplets leave the small-input regime in which an
+	// unstable sort happens to keep equal keys in order.
+	rng := rand.New(rand.NewSource(1))
+	var ts []Triplet
+	want := map[[2]int]float64{}
+	for len(ts) < 200 {
+		i, j := rng.Intn(8), rng.Intn(8)
+		if i == j {
+			continue
+		}
+		v := rng.Float64()
+		ts = append(ts, Triplet{I: i, J: j, V: v})
+		want[[2]int{min(i, j), max(i, j)}] += v
+	}
+	dup, err := NewSparseFromTriplets(8, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ij, v := range want {
+		if dup.At(ij[0], ij[1]) != v || dup.At(ij[1], ij[0]) != v {
+			t.Fatalf("J[%d][%d] = %v / %v, want the input-order sum %v",
+				ij[0], ij[1], dup.At(ij[0], ij[1]), dup.At(ij[1], ij[0]), v)
+		}
+	}
+
 	for _, bad := range []struct {
 		n  int
 		ts []Triplet
@@ -234,8 +262,10 @@ func TestSparseFrobeniusNormMemoized(t *testing.T) {
 	}
 }
 
-// TestCompactCouplerAutoPick pins the density threshold: sparse instances
-// convert to CSR, dense ones keep the original coupler untouched.
+// TestCompactCouplerAutoPick pins the density threshold in both
+// directions: sparse instances end up in CSR and dense ones in the dense
+// layout, whichever form they arrive in, and a coupler already in its
+// right form (or of another kind) comes back untouched.
 func TestCompactCouplerAutoPick(t *testing.T) {
 	sparse := randomSparseDense(32, 0.05, 1)
 	if _, ok := CompactCoupler(sparse).(*Sparse); !ok {
@@ -245,6 +275,26 @@ func TestCompactCouplerAutoPick(t *testing.T) {
 	picked, ok := CompactCoupler(dense).(*Dense)
 	if !ok || picked != dense {
 		t.Fatalf("density %.3f should keep the original dense coupler", dense.Density())
+	}
+	csr := NewSparseFromDense(sparse)
+	if got, ok := CompactCoupler(csr).(*Sparse); !ok || got != csr {
+		t.Fatalf("CSR at density %.3f should be kept as is", csr.Density())
+	}
+	denseCSR := NewSparseFromDense(dense)
+	back, ok := CompactCoupler(denseCSR).(*Dense)
+	if !ok {
+		t.Fatalf("CSR at density %.3f not densified", denseCSR.Density())
+	}
+	for i := 0; i < 32; i++ {
+		for j := 0; j < 32; j++ {
+			if back.At(i, j) != dense.At(i, j) {
+				t.Fatalf("densified J[%d][%d] = %v, want %v", i, j, back.At(i, j), dense.At(i, j))
+			}
+		}
+	}
+	bip := NewBipartite(3, 4)
+	if got := CompactCoupler(bip); got != Coupler(bip) {
+		t.Fatal("bipartite coupler should pass through unchanged")
 	}
 }
 

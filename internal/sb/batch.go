@@ -42,16 +42,6 @@ type BatchParams struct {
 	// so hooks with scratch state (like the Theorem-3 intervention) can
 	// run concurrently. It overrides Base.OnSample.
 	MakeOnSample func(replica int) func(iter int, x, y []float64)
-	// Fused selects the execution engine. The default FuseAuto routes
-	// multi-replica batches without per-replica hooks or trace recording
-	// to the fused lock-step engine (SolveFused), which streams the
-	// coupling structure once per step for all replicas; batches with
-	// OnSample/MakeOnSample/RecordTrace fall back to the per-replica
-	// goroutine engine. FuseOn forces fusion (and panics when the batch
-	// is ineligible); FuseOff forces the goroutine engine. Both engines
-	// produce bit-identical winners and per-replica Stats for equal
-	// Base.Seed.
-	Fused FuseMode
 }
 
 // Stats reports the full replica portfolio of one SolveBatch call, so
@@ -110,12 +100,20 @@ func (s Stats) TotalIterations() int {
 	return total
 }
 
-// SolveBatch runs Replicas independent SB trajectories concurrently and
-// returns the best result (ties broken toward the lowest replica index,
-// so results are deterministic for a fixed Base.Seed) together with the
-// per-replica statistics. Each worker goroutine reuses one Workspace
-// across its replicas, so the batch performs O(workers) allocations
-// rather than O(replicas).
+// SolveBatch runs Replicas independent SB trajectories and returns the
+// best result (ties broken toward the lowest replica index, so results
+// are deterministic for a fixed Base.Seed) together with the per-replica
+// statistics.
+//
+// The engine follows from the parameters. A batch of more than one
+// replica without per-replica control flow (no OnSample hook, no
+// MakeOnSample factory, no trace recording) runs on the fused lock-step
+// engine (SolveFused), which streams the coupling structure once per
+// step for all replicas. Everything else runs on the goroutine engine,
+// where each worker goroutine reuses one Workspace across its replicas,
+// so the batch performs O(workers) allocations rather than O(replicas).
+// The two engines produce bit-identical winners and per-replica Stats
+// for equal Base.Seed.
 //
 // Cancellation honors the sample-point granularity of SolveWith: when ctx
 // fires, in-flight replicas return their best-so-far state within one
@@ -125,21 +123,24 @@ func (s Stats) TotalIterations() int {
 // run — even under an already-cancelled context the call returns a valid
 // (if unconverged) state rather than discarding the request.
 func SolveBatch(ctx context.Context, p *ising.Problem, bp BatchParams) (Result, Stats) {
+	if bp.Replicas <= 0 {
+		bp.Replicas = 4
+	}
+	if bp.Replicas > 1 && fusedEligible(bp) {
+		return SolveFused(ctx, p, bp)
+	}
+	return solveReplicas(ctx, p, bp)
+}
+
+// solveReplicas is SolveBatch's goroutine engine: one SolveWith
+// trajectory per replica, concurrently across Workers. It is the engine
+// for batches with per-replica hooks or trace recording and the
+// reference the fused engine is tested against.
+func solveReplicas(ctx context.Context, p *ising.Problem, bp BatchParams) (Result, Stats) {
 	batchStart := time.Now()
 	replicas := bp.Replicas
 	if replicas <= 0 {
 		replicas = 4
-	}
-	switch bp.Fused {
-	case FuseOn:
-		if !fusedEligible(bp) {
-			panic("sb: SolveBatch FuseOn with per-replica hooks or trace recording")
-		}
-		return SolveFused(ctx, p, bp)
-	case FuseAuto:
-		if replicas > 1 && fusedEligible(bp) {
-			return SolveFused(ctx, p, bp)
-		}
 	}
 	// Resolve the automatic coupling scale once per batch: every replica
 	// uses the same c0, and leaving C0 == 0 would rescan the coupling

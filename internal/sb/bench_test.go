@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"isinglut/internal/fault"
 	"isinglut/internal/ising"
 )
 
@@ -30,17 +31,17 @@ func benchEngineGrid(b *testing.B, run func(b *testing.B, n, r int)) {
 	}
 }
 
-// BenchmarkSolveBatch measures the per-replica goroutine engine (fusion
-// forced off): each replica streams the coupling matrix independently.
+// BenchmarkSolveBatch measures the per-replica goroutine engine (the
+// one SolveBatch uses for hooked batches): each replica streams the
+// coupling matrix independently.
 func BenchmarkSolveBatch(b *testing.B) {
 	benchEngineGrid(b, func(b *testing.B, n, r int) {
 		p := randomProblem(n, int64(n))
 		bp := benchBatchParams(r)
-		bp.Fused = FuseOff
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			SolveBatch(context.Background(), p, bp)
+			solveReplicas(context.Background(), p, bp)
 		}
 	})
 }
@@ -85,23 +86,21 @@ func randomSparseProblem(n int, seed int64, useCSR bool) *ising.Problem {
 	return p
 }
 
-// benchDSBParams is benchBatchParams restricted to the discrete variant,
-// the only one with quantized and bit-packed fast paths.
-func benchDSBParams(r int, quantize, bitpack bool) BatchParams {
-	bp := benchBatchParams(r)
-	bp.Base.Variant = Discrete
-	bp.Base.Quantize = quantize
-	bp.Base.BitPack = bitpack
-	return bp
-}
-
 // benchFusedDSB runs the fused engine over the grid on a prebuilt problem
-// family; all five end-to-end dSB benches share it so the comparisons
-// isolate the coupler/quantization choice.
+// family; all the end-to-end dSB benches share it so the comparisons
+// isolate the coupler/quantization choice. bitpack runs the quantized
+// solve with the bit-planes the policy picks; quantize alone refuses
+// them (the ising.bitpack.pack failpoint), pinning the scalar kernels.
 func benchFusedDSB(b *testing.B, prob func(n int) *ising.Problem, quantize, bitpack bool) {
+	if quantize && !bitpack {
+		fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
+		defer fault.Disarm("ising.bitpack.pack")
+	}
 	benchEngineGrid(b, func(b *testing.B, n, r int) {
 		p := prob(n)
-		bp := benchDSBParams(r, quantize, bitpack)
+		bp := benchBatchParams(r)
+		bp.Base.Variant = Discrete
+		bp.Base.Quantize = quantize || bitpack
 		fw := NewFusedWorkspace(n, r)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -10,12 +10,13 @@ import (
 	"isinglut/internal/ising"
 )
 
-// bitpackParams is divergenceParams for the discrete variant with the
-// bit-packed popcount path requested (BitPack implies Quantize).
-func bitpackParams() Params {
-	base := divergenceParams(Discrete)
-	base.BitPack = true
-	return base
+// scalarQuant runs f with ising.NewPlanes refusing every coupling, so
+// the quantized solves inside it run on the scalar integer kernels: the
+// reference the bit-packed kernels must reproduce bit for bit.
+func scalarQuant(f func()) {
+	fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
+	defer fault.Disarm("ising.bitpack.pack")
+	f()
 }
 
 // clusteredSparseProblem builds a ~20%-dense instance whose quantized
@@ -46,7 +47,7 @@ func TestBitPackExactRepresentableMatchesFloat(t *testing.T) {
 	p := exactQuantProblem(20, 5)
 	params := divergenceParams(Discrete)
 	exact := Solve(p, params)
-	params.BitPack = true
+	params.Quantize = true
 	packed := Solve(p, params)
 	if !packed.Quantized || !packed.BitPacked {
 		t.Fatalf("bit-packed fast path not taken: %+v", []bool{packed.Quantized, packed.BitPacked})
@@ -60,7 +61,8 @@ func TestBitPackExactRepresentableMatchesFloat(t *testing.T) {
 // TestBitPackMatchesQuantTrajectory pins the core contract on a generic
 // (lossy) quantization: the bit-packed solve is bit-identical to the
 // scalar quantized solve — same integer fields, same trajectory, same
-// spins — with only the BitPacked flag distinguishing the results.
+// spins — with only the BitPacked flag distinguishing the results. This
+// is what lets every quantized solve pack without asking.
 func TestBitPackMatchesQuantTrajectory(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -70,8 +72,9 @@ func TestBitPackMatchesQuantTrajectory(t *testing.T) {
 		{"csr", clusteredSparseProblem(96, 11)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			quant := Solve(tc.p, quantParams())
-			packed := Solve(tc.p, bitpackParams())
+			var quant Result
+			scalarQuant(func() { quant = Solve(tc.p, quantParams()) })
+			packed := Solve(tc.p, quantParams())
 			if !quant.Quantized || quant.BitPacked {
 				t.Fatalf("quant solve flags wrong: %+v", []bool{quant.Quantized, quant.BitPacked})
 			}
@@ -87,7 +90,8 @@ func TestBitPackMatchesQuantTrajectory(t *testing.T) {
 // the bit-packed path for both plane layouts: the per-replica goroutine
 // engine (each worker packing independently) and the fused lock-step
 // engine (one replica-bit-sliced sweep per step) must agree bitwise on
-// every replica.
+// every replica. The goroutine engine is the reference SolveBatch falls
+// back to for hooked batches.
 func TestBitPackFusedMatchesFuseOff(t *testing.T) {
 	const replicas = 4
 	for _, tc := range []struct {
@@ -98,15 +102,15 @@ func TestBitPackFusedMatchesFuseOff(t *testing.T) {
 		{"csr", clusteredSparseProblem(96, 13)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := bitpackParams()
-			resOff, statsOff := SolveBatch(context.Background(), tc.p, BatchParams{
-				Base: base, Replicas: replicas, Fused: FuseOff,
+			base := quantParams()
+			resOff, statsOff := solveReplicas(context.Background(), tc.p, BatchParams{
+				Base: base, Replicas: replicas,
 			})
-			resOn, statsOn := SolveBatch(context.Background(), tc.p, BatchParams{
-				Base: base, Replicas: replicas, Fused: FuseOn,
+			resOn, statsOn := SolveFused(context.Background(), tc.p, BatchParams{
+				Base: base, Replicas: replicas,
 			})
 			if !resOff.BitPacked || !resOn.BitPacked {
-				t.Fatalf("fast path not taken: FuseOff=%v FuseOn=%v", resOff.BitPacked, resOn.BitPacked)
+				t.Fatalf("fast path not taken: goroutine=%v fused=%v", resOff.BitPacked, resOn.BitPacked)
 			}
 			assertBatchesIdentical(t, resOff, resOn, statsOff, statsOn)
 		})
@@ -119,8 +123,9 @@ func TestBitPackFusedMatchesFuseOff(t *testing.T) {
 // BitPacked.
 func TestBitPackHeuristicFallback(t *testing.T) {
 	p := randomSparseProblem(64, 11, true)
-	quant := Solve(p, quantParams())
-	packed := Solve(p, bitpackParams())
+	var quant Result
+	scalarQuant(func() { quant = Solve(p, quantParams()) })
+	packed := Solve(p, quantParams())
 	if !quant.Quantized {
 		t.Fatal("quantized fast path not taken")
 	}
@@ -132,24 +137,28 @@ func TestBitPackHeuristicFallback(t *testing.T) {
 }
 
 // TestBitPackPackFailpointFallback: with ising.bitpack.pack poisoning the
-// packer, both engines must degrade to the scalar quantized path
-// bit-identically — the chaos contract behind the fallback claim.
+// packer, both engines must degrade to the scalar quantized path and
+// still reproduce the packed batch bit for bit — the chaos contract
+// behind the fallback claim.
 func TestBitPackPackFailpointFallback(t *testing.T) {
 	const replicas = 3
 	p := randomProblem(64, 9)
-	quantOff, quantStats := SolveBatch(context.Background(), p, BatchParams{
-		Base: quantParams(), Replicas: replicas, Fused: FuseOff,
+	base := quantParams()
+	packedOff, packedStats := solveReplicas(context.Background(), p, BatchParams{
+		Base: base, Replicas: replicas,
 	})
+	if !packedOff.BitPacked {
+		t.Fatal("dense 64-spin instance rejected by the packing dispatch")
+	}
 
 	defer fault.DisarmAll()
-	base := bitpackParams()
 	fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
-	fbOff, fbOffStats := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOff,
+	fbOff, fbOffStats := solveReplicas(context.Background(), p, BatchParams{
+		Base: base, Replicas: replicas,
 	})
 	fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
-	fbOn, fbOnStats := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOn,
+	fbOn, fbOnStats := SolveFused(context.Background(), p, BatchParams{
+		Base: base, Replicas: replicas,
 	})
 	fault.DisarmAll()
 
@@ -159,9 +168,9 @@ func TestBitPackPackFailpointFallback(t *testing.T) {
 	if !fbOff.Quantized || !fbOn.Quantized {
 		t.Fatal("poisoned packer must leave the scalar quantized path intact")
 	}
-	assertSameTrajectory(t, quantOff, fbOff, "FuseOff fallback")
+	assertSameTrajectory(t, packedOff, fbOff, "goroutine-engine fallback")
 	assertBatchesIdentical(t, fbOff, fbOn, fbOffStats, fbOnStats)
-	assertBatchesIdentical(t, quantOff, fbOn, quantStats, fbOnStats)
+	assertBatchesIdentical(t, packedOff, fbOn, packedStats, fbOnStats)
 }
 
 // TestBitPackAccumPoisonDiverges: an always-firing popcount-accumulate
@@ -169,7 +178,7 @@ func TestBitPackPackFailpointFallback(t *testing.T) {
 // catch it at the sample cadence rather than let NaN spins escape.
 func TestBitPackAccumPoisonDiverges(t *testing.T) {
 	p := randomProblem(64, 17)
-	params := bitpackParams()
+	params := quantParams()
 
 	defer fault.DisarmAll()
 	fault.MustArm("ising.bitpack.accum", fault.Scenario{After: 3, Times: -1})
@@ -187,16 +196,21 @@ func TestBitPackAccumPoisonDiverges(t *testing.T) {
 	}
 }
 
-// TestBitPackIgnoredOutsideDiscrete: BitPack on a ballistic solve is a
-// silent no-op — bit-identical to the plain run, no fast-path flags.
+// TestBitPackIgnoredOutsideDiscrete: the bit-planes are built only for
+// quantized dSB. Quantize on a ballistic solve of a pack-eligible
+// instance is a silent no-op — bit-identical to the plain run, no
+// fast-path flags — and an unquantized dSB solve never packs either.
 func TestBitPackIgnoredOutsideDiscrete(t *testing.T) {
-	p := randomProblem(16, 3)
+	p := randomProblem(64, 3)
 	params := divergenceParams(Ballistic)
 	plain := Solve(p, params)
-	params.BitPack = true
+	params.Quantize = true
 	packed := Solve(p, params)
 	if packed.Quantized || packed.BitPacked {
 		t.Fatalf("fast-path flags on a ballistic solve: %+v", []bool{packed.Quantized, packed.BitPacked})
 	}
-	assertSameTrajectory(t, plain, packed, "bSB with BitPack set")
+	assertSameTrajectory(t, plain, packed, "bSB with Quantize set")
+	if float := Solve(p, divergenceParams(Discrete)); float.BitPacked {
+		t.Fatal("unquantized dSB solve reports BitPacked")
+	}
 }

@@ -75,12 +75,12 @@ func TestDivergenceQuarantineBothEngines(t *testing.T) {
 
 			fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}, Times: -1})
 			defer fault.DisarmAll()
-			resOff, statsOff := SolveBatch(context.Background(), p, BatchParams{
-				Base: base, Replicas: replicas, Fused: FuseOff,
+			resOff, statsOff := solveReplicas(context.Background(), p, BatchParams{
+				Base: base, Replicas: replicas,
 			})
 			fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}, Times: -1})
-			resOn, statsOn := SolveBatch(context.Background(), p, BatchParams{
-				Base: base, Replicas: replicas, Fused: FuseOn,
+			resOn, statsOn := SolveFused(context.Background(), p, BatchParams{
+				Base: base, Replicas: replicas,
 			})
 
 			for _, st := range []Stats{statsOff, statsOn} {
@@ -126,12 +126,12 @@ func TestAllReplicasDiverged(t *testing.T) {
 
 	fault.MustArm("sb.diverge", fault.Scenario{Keys: keys, Times: -1})
 	defer fault.DisarmAll()
-	resOff, statsOff := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOff,
+	resOff, statsOff := solveReplicas(context.Background(), p, BatchParams{
+		Base: base, Replicas: replicas,
 	})
 	fault.MustArm("sb.diverge", fault.Scenario{Keys: keys, Times: -1})
-	resOn, statsOn := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOn,
+	resOn, statsOn := SolveFused(context.Background(), p, BatchParams{
+		Base: base, Replicas: replicas,
 	})
 
 	for _, st := range []Stats{statsOff, statsOn} {
@@ -180,12 +180,12 @@ func TestDivergenceRescue(t *testing.T) {
 
 	fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}}) // Times 0: fire once
 	defer fault.DisarmAll()
-	resOff, statsOff := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOff,
+	resOff, statsOff := solveReplicas(context.Background(), p, BatchParams{
+		Base: base, Replicas: replicas,
 	})
 	fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}})
-	resOn, statsOn := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOn,
+	resOn, statsOn := SolveFused(context.Background(), p, BatchParams{
+		Base: base, Replicas: replicas,
 	})
 
 	for _, st := range []Stats{statsOff, statsOn} {

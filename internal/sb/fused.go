@@ -10,20 +10,6 @@ import (
 	"isinglut/internal/metrics"
 )
 
-// FuseMode selects how SolveBatch executes its replica portfolio.
-type FuseMode int
-
-const (
-	// FuseAuto (the zero value) fuses whenever the batch is eligible:
-	// more than one replica and no per-replica control flow (no OnSample
-	// hook, no MakeOnSample factory, no trace recording).
-	FuseAuto FuseMode = iota
-	// FuseOn forces the fused engine; ineligible parameters panic.
-	FuseOn
-	// FuseOff forces the per-replica goroutine engine.
-	FuseOff
-)
-
 // fusedEligible reports whether a batch can run on the fused engine.
 // Per-replica sample hooks and trace recording force divergent per-replica
 // control flow (and per-replica allocations), which the lock-step engine
@@ -115,10 +101,11 @@ func (fw *FusedWorkspace) ensure(n, r int) {
 // SolveFused runs a replica batch on the fused lock-step engine: every
 // replica advances through the same Euler step together, so each step
 // streams the coupling structure exactly once (ising.FieldBatch) instead
-// of once per replica. Replica trajectories are bit-identical to
-// SolveBatch with FuseOff for equal Base.Seed — same winner, same
+// of once per replica. Replica trajectories are bit-identical to the
+// per-replica goroutine engine for equal Base.Seed — same winner, same
 // per-replica Stats — because each lane reproduces SolveWith's arithmetic
-// exactly; only wall-clock scheduling differs.
+// exactly; only wall-clock scheduling differs. SolveBatch routes every
+// eligible multi-replica batch here.
 //
 // Per-replica dynamic-stop windows are evaluated lane-wise: a replica
 // whose §3.3.1 criterion fires is retired and its lane compacted out, so
@@ -131,8 +118,7 @@ func (fw *FusedWorkspace) ensure(n, r int) {
 // design — the shared matrix stream is the bottleneck the fusion removes,
 // and lock-step lanes would serialize on it anyway. Per-replica OnSample
 // hooks, MakeOnSample factories, and RecordTrace are unsupported and
-// panic; use FuseOff (or plain SolveBatch, which auto-falls-back) for
-// those.
+// panic; SolveBatch runs such batches on the goroutine engine instead.
 func SolveFused(ctx context.Context, p *ising.Problem, bp BatchParams) (Result, Stats) {
 	r := bp.Replicas
 	if r <= 0 {
@@ -155,10 +141,10 @@ func SolveFusedWith(ctx context.Context, p *ising.Problem, bp BatchParams, fw *F
 		replicas = 4
 	}
 	if params.OnSample != nil || bp.MakeOnSample != nil {
-		panic("sb: fused batch cannot run per-replica OnSample hooks (use FuseOff)")
+		panic("sb: fused batch cannot run per-replica OnSample hooks (use SolveBatch)")
 	}
 	if params.RecordTrace {
-		panic("sb: fused batch cannot record per-replica traces (use FuseOff)")
+		panic("sb: fused batch cannot record per-replica traces (use SolveBatch)")
 	}
 	if params.Steps <= 0 {
 		panic("sb: Steps must be positive")
@@ -206,20 +192,10 @@ func SolveFusedWith(ctx context.Context, p *ising.Problem, bp BatchParams, fw *F
 		}
 	}
 
-	// Quantize once per batch (same policy as SolveWith): a nil quant is
-	// the float64 path. Sample-point and stop-window energies below always
-	// evaluate against the exact float coupling either way.
-	var quant *ising.Quantized
-	if (params.Quantize || params.BitPack) && params.Variant == Discrete {
-		quant, _ = ising.Quantize(p.Coup)
-	}
-	// BitPack re-packs the codes into popcount bit-planes (nil: heuristic
-	// rejection or failed quantization — the scalar quantized kernels run
-	// instead, bit-identically).
-	var planes *ising.Planes
-	if params.BitPack && quant != nil {
-		planes, _ = ising.NewPlanes(quant)
-	}
+	// Quantize once per batch (same policy as SolveWith). Sample-point
+	// and stop-window energies below always evaluate against the exact
+	// float coupling either way.
+	quant, planes := quantizeFor(p, params)
 
 	stats := Stats{
 		Replicas:     replicas,

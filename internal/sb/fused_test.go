@@ -71,7 +71,7 @@ func assertSameBatch(t *testing.T, label string, fr Result, fs Stats, ur Result,
 }
 
 // TestSolveFusedBitIdenticalToUnfused is the core determinism contract:
-// for equal Base.Seed the fused engine reproduces the unfused batch
+// for equal Base.Seed the fused engine reproduces the goroutine engine
 // bit for bit — winner, per-replica energies, iteration counts, stop
 // reasons — across variants, stop configurations, seeds, and both
 // coupler shapes.
@@ -98,12 +98,10 @@ func TestSolveFusedBitIdenticalToUnfused(t *testing.T) {
 					label := fmt.Sprintf("%s/%v/%s/seed=%d", pname, v, sname, seed)
 
 					fr, fs := SolveFused(context.Background(), p, bp)
-					ubp := bp
-					ubp.Fused = FuseOff
-					ur, us := SolveBatch(context.Background(), p, ubp)
+					ur, us := solveReplicas(context.Background(), p, bp)
 					assertSameBatch(t, label, fr, fs, ur, us)
 
-					// And the auto dispatcher picks the same (fused) path.
+					// And SolveBatch picks the same (fused) path.
 					ar, as := SolveBatch(context.Background(), p, bp)
 					assertSameBatch(t, label+"/auto", ar, as, ur, us)
 				}
@@ -281,19 +279,23 @@ func countingProblem(n int, seed int64) (*ising.Problem, *countingCoupler) {
 func TestSolveBatchNormScannedOncePerBatch(t *testing.T) {
 	base := DefaultParams()
 	base.Steps = 50
-	for _, mode := range []FuseMode{FuseOff, FuseOn} {
+	engines := map[string]func(context.Context, *ising.Problem, BatchParams) (Result, Stats){
+		"goroutine": solveReplicas,
+		"fused":     SolveFused,
+	}
+	for name, solve := range engines {
 		p, cc := countingProblem(10, 46)
-		bp := BatchParams{Base: base, Replicas: 8, Fused: mode}
-		SolveBatch(context.Background(), p, bp)
+		solve(context.Background(), p, BatchParams{Base: base, Replicas: 8})
 		if got := cc.normScans.Load(); got != 1 {
-			t.Errorf("mode %d: %d norm scans for an 8-replica batch, want 1", mode, got)
+			t.Errorf("%s engine: %d norm scans for an 8-replica batch, want 1", name, got)
 		}
 	}
 }
 
-// TestSolveBatchAutoDispatch pins the FuseAuto routing: an eligible
-// multi-replica batch runs batched field products; a batch with a
-// per-replica hook falls back to per-replica scalar Field calls.
+// TestSolveBatchAutoDispatch pins SolveBatch's engine choice: an
+// eligible multi-replica batch runs batched field products; a batch
+// with a per-replica hook, or a single replica, runs per-replica scalar
+// Field calls on the goroutine engine.
 func TestSolveBatchAutoDispatch(t *testing.T) {
 	base := DefaultParams()
 	base.Steps = 50
@@ -316,10 +318,18 @@ func TestSolveBatchAutoDispatch(t *testing.T) {
 	if cc.batchCalls.Load() != 0 {
 		t.Error("batch with per-replica hooks must not fuse")
 	}
+
+	p, cc = countingProblem(10, 47)
+	SolveBatch(context.Background(), p, BatchParams{Base: base, Replicas: 1})
+	if cc.batchCalls.Load() != 0 {
+		t.Error("a single-replica batch must not fuse")
+	}
 }
 
-// TestSolveBatchFuseOnRejectsHooks: forcing fusion with per-replica
-// control flow is a programming error, reported loudly.
+// TestSolveBatchFuseOnRejectsHooks: calling the fused engine directly
+// with per-replica control flow is a programming error, reported loudly
+// (SolveBatch never does; it routes such batches to the goroutine
+// engine).
 func TestSolveBatchFuseOnRejectsHooks(t *testing.T) {
 	p := randomProblem(8, 48)
 	base := DefaultParams()
@@ -327,10 +337,10 @@ func TestSolveBatchFuseOnRejectsHooks(t *testing.T) {
 	base.RecordTrace = true
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FuseOn with RecordTrace did not panic")
+			t.Fatal("SolveFused with RecordTrace did not panic")
 		}
 	}()
-	SolveBatch(context.Background(), p, BatchParams{Base: base, Replicas: 4, Fused: FuseOn})
+	SolveFused(context.Background(), p, BatchParams{Base: base, Replicas: 4})
 }
 
 // TestSolveFusedWorkspaceReuse runs batches of different shapes through

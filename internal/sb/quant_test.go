@@ -82,9 +82,11 @@ func TestQuantExactRepresentableMatchesFloat(t *testing.T) {
 }
 
 // TestQuantFusedMatchesFuseOff pins the engine bit-identity contract on
-// the quantized path, for dense and CSR couplers: the per-replica
-// goroutine engine (each worker quantizing independently) and the fused
-// lock-step engine must agree bitwise on every replica.
+// the scalar quantized kernels, for dense and CSR couplers: the
+// per-replica goroutine engine (each worker quantizing independently)
+// and the fused lock-step engine must agree bitwise on every replica.
+// The bit-planes are refused here so the scalar kernels keep their own
+// engine coverage; TestBitPackFusedMatchesFuseOff covers the packed ones.
 func TestQuantFusedMatchesFuseOff(t *testing.T) {
 	const replicas = 4
 	for _, tc := range []struct {
@@ -95,15 +97,15 @@ func TestQuantFusedMatchesFuseOff(t *testing.T) {
 		{"csr", randomSparseProblem(48, 11, true)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := quantParams()
-			resOff, statsOff := SolveBatch(context.Background(), tc.p, BatchParams{
-				Base: base, Replicas: replicas, Fused: FuseOff,
-			})
-			resOn, statsOn := SolveBatch(context.Background(), tc.p, BatchParams{
-				Base: base, Replicas: replicas, Fused: FuseOn,
+			bp := BatchParams{Base: quantParams(), Replicas: replicas}
+			var resOff, resOn Result
+			var statsOff, statsOn Stats
+			scalarQuant(func() {
+				resOff, statsOff = solveReplicas(context.Background(), tc.p, bp)
+				resOn, statsOn = SolveFused(context.Background(), tc.p, bp)
 			})
 			if !resOff.Quantized || !resOn.Quantized {
-				t.Fatalf("fast path not taken: FuseOff=%v FuseOn=%v", resOff.Quantized, resOn.Quantized)
+				t.Fatalf("fast path not taken: goroutine=%v fused=%v", resOff.Quantized, resOn.Quantized)
 			}
 			assertBatchesIdentical(t, resOff, resOn, statsOff, statsOn)
 		})
@@ -131,26 +133,26 @@ func TestQuantOverflowFallbackBothEngines(t *testing.T) {
 	const replicas = 3
 	p := randomProblem(20, 9)
 	base := divergenceParams(Discrete)
-	exactOff, exactStats := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOff,
+	exactOff, exactStats := solveReplicas(context.Background(), p, BatchParams{
+		Base: base, Replicas: replicas,
 	})
 
 	defer fault.DisarmAll()
 	base.Quantize = true
 	fault.MustArm("ising.quant.overflow", fault.Scenario{Times: -1})
-	fbOff, fbOffStats := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOff,
+	fbOff, fbOffStats := solveReplicas(context.Background(), p, BatchParams{
+		Base: base, Replicas: replicas,
 	})
 	fault.MustArm("ising.quant.overflow", fault.Scenario{Times: -1})
-	fbOn, fbOnStats := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOn,
+	fbOn, fbOnStats := SolveFused(context.Background(), p, BatchParams{
+		Base: base, Replicas: replicas,
 	})
 	fault.DisarmAll()
 
 	if fbOff.Quantized || fbOn.Quantized {
 		t.Fatal("Quantized reported after a forced quantization failure")
 	}
-	assertSameTrajectory(t, exactOff, fbOff, "FuseOff fallback")
+	assertSameTrajectory(t, exactOff, fbOff, "goroutine-engine fallback")
 	assertBatchesIdentical(t, fbOff, fbOn, fbOffStats, fbOnStats)
 	assertBatchesIdentical(t, exactOff, fbOn, exactStats, fbOnStats)
 }
@@ -168,12 +170,12 @@ func TestQuantDivergenceQuarantineBothEngines(t *testing.T) {
 
 	fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}, Times: -1})
 	defer fault.DisarmAll()
-	resOff, statsOff := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOff,
+	resOff, statsOff := solveReplicas(context.Background(), p, BatchParams{
+		Base: base, Replicas: replicas,
 	})
 	fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}, Times: -1})
-	resOn, statsOn := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOn,
+	resOn, statsOn := SolveFused(context.Background(), p, BatchParams{
+		Base: base, Replicas: replicas,
 	})
 
 	for _, st := range []Stats{statsOff, statsOn} {

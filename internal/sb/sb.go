@@ -152,19 +152,14 @@ type Params struct {
 	// finite entries, dynamic-range overflow, unsupported coupler kind)
 	// the run falls back to the float64 engine bit-identically, reported
 	// via Result.Quantized.
+	//
+	// The quantized codes are also offered to ising.NewPlanes: when its
+	// density × width rule accepts them, the per-step field product runs
+	// on AND+POPCNT sweeps over packed ±1 spin masks instead of the
+	// scalar integer kernels. The two are bit-identical (same integer
+	// fields, same trajectories), so the choice changes throughput only;
+	// Result.BitPacked reports which one ran.
 	Quantize bool
-	// BitPack layers the popcount fast path on top of Quantize: the
-	// quantized codes are re-packed into sign+magnitude bit-planes
-	// (ising.NewPlanes) and the per-step field product runs on
-	// AND+POPCNT sweeps over packed ±1 spin masks — bit-identical to the
-	// scalar quantized kernels, so whole trajectories match the Quantize
-	// path exactly. It implies Quantize (the codes are the input), only
-	// applies to the Discrete variant, and degrades in two stages: an
-	// unquantizable coupling falls back to float64, and a coupling whose
-	// density × width heuristic rejects packing (tiny or very sparse
-	// instances where the scalar kernel wins) stays on the scalar
-	// quantized path. Result.BitPacked reports what actually ran.
-	BitPack bool
 	// RescueDiverged enables the one-shot divergence rescue: when the
 	// guard detects non-finite positions or energy at a sample point, the
 	// trajectory is re-seeded from Seed with the time step halved and the
@@ -235,10 +230,9 @@ type Result struct {
 	// was off, the variant was not Discrete, or the coupling failed to
 	// quantize and the solve fell back to float64.
 	Quantized bool
-	// BitPacked reports that the run used the bit-packed popcount field
-	// kernels (Params.BitPack accepted by the packing heuristic on top of
-	// a successful quantization); when false with Quantized true, the
-	// solve ran on the scalar quantized kernels instead.
+	// BitPacked reports that the quantized run used the bit-packed
+	// popcount kernels (ising.NewPlanes accepted the codes); when false
+	// with Quantized true, the solve ran on the scalar quantized kernels.
 	BitPacked bool
 	// Trace holds the sampled energies when Params.RecordTrace is set.
 	Trace []float64
@@ -329,21 +323,7 @@ func SolveWith(ctx context.Context, p *ising.Problem, params Params, ws *Workspa
 		}
 	}
 
-	// Quantize once per solve: the O(n²) pass is ~0.1% of a typical solve
-	// and buys integer accumulation for every one of the Steps field
-	// products. A nil quant (flag off, non-dSB variant, or unquantizable
-	// coupling) is the float64 path.
-	var quant *ising.Quantized
-	if (params.Quantize || params.BitPack) && params.Variant == Discrete {
-		quant, _ = ising.Quantize(p.Coup)
-	}
-	// BitPack re-packs the codes into popcount bit-planes; a nil planes
-	// (flag off, heuristic rejection, or failed quantization) stays on
-	// the scalar quantized kernels — bit-identically either way.
-	var planes *ising.Planes
-	if params.BitPack && quant != nil {
-		planes, _ = ising.NewPlanes(quant)
-	}
+	quant, planes := quantizeFor(p, params)
 
 	ws.ensure(n)
 	ws.window.reset(windowSize(params))
@@ -542,6 +522,26 @@ func windowSize(params Params) int {
 		return params.Stop.S
 	}
 	return 0
+}
+
+// quantizeFor builds the fixed-point field kernels of one solve or
+// batch: quantized once (the O(n²) pass is ~0.1% of a typical solve and
+// buys integer accumulation for every one of the Steps field products),
+// then re-packed into popcount bit-planes when ising.NewPlanes accepts
+// the codes. A nil quant (Quantize off, non-dSB variant, or an
+// unquantizable coupling) is the float64 path; a nil planes with a
+// non-nil quant is the scalar quantized path, bit-identical to the
+// packed one.
+func quantizeFor(p *ising.Problem, params Params) (*ising.Quantized, *ising.Planes) {
+	if !params.Quantize || params.Variant != Discrete {
+		return nil, nil
+	}
+	quant, ok := ising.Quantize(p.Coup)
+	if !ok {
+		return nil, nil
+	}
+	planes, _ := ising.NewPlanes(quant)
+	return quant, planes
 }
 
 // autoC0 computes the standard SB coupling scale 0.5*sqrt(N-1)/||J||_F,

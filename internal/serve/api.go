@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"isinglut"
+	"isinglut/internal/ising"
 )
 
 // DecomposeOptions is the wire form of isinglut.Options. Zero fields take
@@ -100,11 +101,10 @@ type SolveRequest struct {
 	Seed     int64   `json:"seed,omitempty"`
 	Replicas int     `json:"replicas,omitempty"`
 	Workers  int     `json:"workers,omitempty"`
-	// Fused forces the fused replica engine (one coupling stream per step
-	// for the whole batch). Multi-replica solves fuse automatically; the
-	// result is bit-identical either way, so the flag only pins the
-	// engine — it does not change the answer (and is therefore excluded
-	// from the cache key, like Workers).
+	// Fused is accepted and ignored. The solver fuses every multi-replica
+	// batch it can on its own, bit-identically to the per-replica engine;
+	// the field stays decodable for one release so older clients keep
+	// working (request bodies reject unknown fields).
 	Fused       bool    `json:"fused,omitempty"`
 	DynamicStop bool    `json:"dynamic_stop,omitempty"`
 	F           int     `json:"f,omitempty"`
@@ -112,30 +112,25 @@ type SolveRequest struct {
 	Epsilon     float64 `json:"epsilon,omitempty"`
 	// Rescue enables the solver's one-shot divergence rescue: a replica
 	// whose dynamics overflow is re-seeded once with a halved step
-	// instead of being quarantined. Unlike Fused/Workers it can change
-	// the answer (a rescued trajectory differs), so it is part of the
-	// cache key.
+	// instead of being quarantined. Unlike Workers it can change the
+	// answer (a rescued trajectory differs), so it is part of the cache
+	// key.
 	Rescue bool `json:"rescue,omitempty"`
-	// Sparse routes the solve through the CSR sparse coupler when the
-	// instance is sparse enough for it to win. Results are bit-identical
-	// to the dense path, so like Fused the flag is cache-key-neutral: both
-	// request forms share one cache slot.
+	// Sparse is accepted and ignored, like Fused: the solver picks the
+	// CSR or dense coupler from the instance's density, bit-identically.
 	Sparse bool `json:"sparse,omitempty"`
 	// Quant enables the int8/int16 fixed-point dSB fast path (requires
-	// variant "dsb"). Quantization changes numerics within the documented
-	// envelope, so quantized results are never cached; the flag is still
-	// excluded from the cache key, which makes it a pure performance hint:
-	// a cached exact result may be served for a quant request (strictly
-	// better than what was asked for), but a quantized result can never be
-	// served for an exact request.
+	// variant "dsb"), bit-packed into popcount planes wherever that pays.
+	// Quantization changes numerics within the documented envelope, so
+	// quantized results are never cached; the flag is still excluded
+	// from the cache key, which makes it a pure performance hint: a
+	// cached exact result may be served for a quant request (strictly
+	// better than what was asked for), but a quantized result can never
+	// be served for an exact request.
 	Quant bool `json:"quant,omitempty"`
-	// BitPack layers the popcount fast path on top of quant (requires
-	// variant "dsb", implies quant): the quantized codes are re-packed
-	// into bit-planes and the field products run on AND+POPCNT sweeps —
-	// bit-identical to the quant path, throughput only. It shares quant's
-	// pinned cache semantics: bit-packed results are quantized results,
-	// so they are never cached, and the flag is excluded from the cache
-	// key so a bitpack request may ride an already-cached exact entry.
+	// BitPack is an alias of Quant, kept for older clients: it always
+	// implied quant, and the bit-planes are now picked automatically for
+	// every quantized solve.
 	BitPack bool `json:"bitpack,omitempty"`
 	// Shard > 0 routes the solve through the shard-and-exchange
 	// decomposition layer with subproblems of at most Shard spins — the
@@ -168,8 +163,8 @@ type SolveResponse struct {
 	// Quantized reports that the solve actually ran on the fixed-point
 	// kernels (SolveRequest.Quant accepted and the coupling quantized).
 	Quantized bool `json:"quantized,omitempty"`
-	// BitPacked reports that the solve ran on the bit-packed popcount
-	// kernels (SolveRequest.BitPack accepted by the packing heuristic).
+	// BitPacked reports that the quantized solve ran on the bit-packed
+	// popcount kernels (the packing rule accepted the coupling).
 	BitPacked bool `json:"bitpacked,omitempty"`
 	// Shards is the partition size of a sharded solve (0 for a direct
 	// solve); ShardRounds the exchange rounds it executed.
@@ -227,8 +222,7 @@ type Health struct {
 	// "open", "half-open").
 	Breakers map[string]string `json:"breakers,omitempty"`
 	// Peers maps peer base URL to its fleet lifecycle entry (coordinator
-	// mode only). The legacy "peer:<url>" Breakers entries remain for
-	// scrapers that predate the fleet manager.
+	// mode only).
 	Peers map[string]PeerHealth `json:"peers,omitempty"`
 }
 
@@ -338,53 +332,55 @@ func decomposeKey(f *isinglut.Function, opts isinglut.Options) string {
 	return "d:" + hex.EncodeToString(h.Sum(nil))
 }
 
+// quant reports whether the request asks for the fixed-point kernels,
+// through quant or its alias bitpack.
+func (r *SolveRequest) quant() bool { return r.Quant || r.BitPack }
+
 // solveKey canonically hashes a raw Ising solve request. The couplings
 // are accumulated into a canonical (i<j ordered, summed) form first, so
-// equivalent bodies with reordered or split couplings share a slot.
+// equivalent bodies with reordered or split couplings share a slot. The
+// sums come from the same triplet build the solved problem uses, so
+// requests sharing a slot share a problem. The key is only defined for
+// requests buildSolve accepts; any other gets the empty key.
 func (r *SolveRequest) solveKey() string {
+	ts := make([]ising.Triplet, len(r.Couplings))
+	for k, c := range r.Couplings {
+		ts[k] = ising.Triplet{I: c.I, J: c.J, V: c.V}
+	}
+	sum, err := ising.NewSparseFromTriplets(r.N, ts)
+	if err != nil {
+		return ""
+	}
 	h := sha256.New()
 	writeU64(h, uint64(r.N))
-	acc := make(map[[2]int]float64, len(r.Couplings))
-	for _, c := range r.Couplings {
-		i, j := c.I, c.J
-		if i > j {
-			i, j = j, i
-		}
-		acc[[2]int{i, j}] += c.V
-	}
-	// Deterministic iteration: scan the upper triangle in index order and
-	// emit only present entries.
+	// Row-major upper-triangle order, zero sums skipped.
 	for i := 0; i < r.N; i++ {
-		for j := i + 1; j < r.N; j++ {
-			if v, ok := acc[[2]int{i, j}]; ok && v != 0 {
+		sum.ForEachRow(i, func(j int, v float64) {
+			if j > i && v != 0 {
 				writeU64(h, uint64(i))
 				writeU64(h, uint64(j))
 				writeU64(h, math.Float64bits(v))
 			}
-		}
+		})
 	}
 	writeU64(h, uint64(len(r.Biases)))
 	for _, b := range r.Biases {
 		writeU64(h, math.Float64bits(b))
 	}
-	// Fused and Sparse are deliberately not hashed: the fused engine and
-	// the CSR coupler both return bit-identical results for equal seeds,
-	// so all request forms share one cache slot (Workers and TimeoutMS are
-	// excluded for the same reason). Quant is excluded too, but for the
-	// opposite reason: quantized results are never cached (handleSolve
-	// refuses to Put them), so hashing the flag would only split the slot
-	// that lets a quant request ride an already-cached exact result.
-	// BitPack inherits Quant's treatment wholesale: bit-packed results
-	// are quantized results (never cached), and the flag stays out of the
-	// key so a bitpack request rides exact entries too.
+	// Workers, TimeoutMS and the no-op Fused and Sparse fields are not
+	// hashed: none of them changes the answer. Quant (and its alias
+	// BitPack) is excluded for the opposite reason: quantized results are
+	// never cached (handleSolve refuses to Put them), so hashing the flag
+	// would only split the slot that lets a quant request ride an
+	// already-cached exact result.
 	writeString(h, r.Variant)
 	writeU64(h, uint64(r.Steps))
 	writeU64(h, math.Float64bits(r.Dt))
 	writeU64(h, uint64(r.Seed))
 	writeU64(h, uint64(r.Replicas))
-	// Rescue IS hashed, unlike Fused: a rescued trajectory legitimately
-	// differs from a quarantined one, so the two request forms must not
-	// share a cache slot.
+	// Rescue IS hashed: a rescued trajectory legitimately differs from a
+	// quarantined one, so the two request forms must not share a cache
+	// slot.
 	if r.Rescue {
 		writeU64(h, 1)
 	} else {

@@ -142,7 +142,7 @@ func TestChaosEverySiteFires(t *testing.T) {
 	// kernels were actually in play (BitPacked set).
 	fault.MustArm("ising.bitpack.accum", fault.Scenario{After: 2, Times: -1})
 	res, err = isinglut.SolveIsing(dense, isinglut.SBOptions{
-		Variant: isinglut.DiscreteSB, Steps: 100, Seed: 1, BitPack: true,
+		Variant: isinglut.DiscreteSB, Steps: 100, Seed: 1, Quantize: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,16 +157,19 @@ func TestChaosEverySiteFires(t *testing.T) {
 
 	// ising.bitpack.pack: a poisoned packer must degrade to the scalar
 	// quantized kernels bit-identically — same energy and step count as
-	// the plain quant solve, Quantized still set, BitPacked unset.
+	// the packed quant solve, Quantized still set, BitPacked unset.
 	qref, err := isinglut.SolveIsing(dense, isinglut.SBOptions{
 		Variant: isinglut.DiscreteSB, Steps: 100, Seed: 1, Quantize: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !qref.BitPacked {
+		t.Fatalf("quant solve of the dense instance did not pack: %+v", qref)
+	}
 	fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
 	pfb, err := isinglut.SolveIsing(dense, isinglut.SBOptions{
-		Variant: isinglut.DiscreteSB, Steps: 100, Seed: 1, BitPack: true,
+		Variant: isinglut.DiscreteSB, Steps: 100, Seed: 1, Quantize: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,13 +183,15 @@ func TestChaosEverySiteFires(t *testing.T) {
 	fault.DisarmAll()
 
 	// sb.batch.worker: a panicking replica worker (goroutine engine only —
-	// the fused engine has no per-replica workers) becomes a failed
-	// replica; the batch still returns a finite winner.
+	// the fused engine has no per-replica workers, so the batch records a
+	// trace to stay off it) becomes a failed replica; the batch still
+	// returns a finite winner.
 	fault.MustArm("sb.batch.worker", fault.Scenario{Times: 1})
 	params := sb.DefaultParams()
 	params.Steps = 100
+	params.RecordTrace = true
 	bres, bstats := sb.SolveBatch(context.Background(), chaosProblem(8), sb.BatchParams{
-		Base: params, Replicas: 4, Fused: sb.FuseOff,
+		Base: params, Replicas: 4,
 	})
 	failed := 0
 	for _, reason := range bstats.Stopped {
@@ -205,7 +210,7 @@ func TestChaosEverySiteFires(t *testing.T) {
 	// replica; the served solve still answers 200 off a finite survivor.
 	fault.MustArm("ising.field", fault.Scenario{Times: 1})
 	resp := postJSON(t, ts.URL+"/v1/solve", SolveRequest{
-		N: 8, Steps: 100, Seed: 1, Replicas: 2, Fused: true,
+		N: 8, Steps: 100, Seed: 1, Replicas: 2,
 		Couplings: ringCouplings(8),
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -356,15 +361,15 @@ func TestChaosEverySiteFires(t *testing.T) {
 	// suspect; the next clean sweep readmits it to healthy.
 	fault.MustArm("serve.peer.probe", fault.Scenario{Mode: fault.ModeDrop, Keys: []int64{0}, Times: -1})
 	fs.fleet.probeAll(context.Background())
-	if st, _, _ := fs.peers[0].snapshot(); st != peerSuspect {
+	if st, _, _ := fs.fleet.peers[0].snapshot(); st != peerSuspect {
 		t.Fatalf("peer 0 state %v after dropped probe, want suspect", st)
 	}
-	if st, _, _ := fs.peers[1].snapshot(); st == peerQuarantined {
+	if st, _, _ := fs.fleet.peers[1].snapshot(); st == peerQuarantined {
 		t.Fatal("unkeyed peer 1 was hit by the keyed probe fault")
 	}
 	fault.DisarmAll()
 	fs.fleet.probeAll(context.Background())
-	if st, _, _ := fs.peers[0].snapshot(); st != peerHealthy {
+	if st, _, _ := fs.fleet.peers[0].snapshot(); st != peerHealthy {
 		t.Fatalf("peer 0 state %v after clean probe, want healthy", st)
 	}
 

@@ -95,38 +95,37 @@ func TestCoordinatorDeadPeerFallsBackBitIdentical(t *testing.T) {
 }
 
 // TestCoordinatorPeerBreakerOpens drives repeated dispatch failures via
-// the shard.dispatch failpoint until the peer's dedicated breaker opens,
-// and checks /healthz reports the per-peer breaker state.
+// the shard.dispatch failpoint until the peer's lifecycle quarantines it
+// — the one state machine that decides whether a peer gets work — and
+// checks /healthz reports that state and no per-peer breaker entry.
 func TestCoordinatorPeerBreakerOpens(t *testing.T) {
 	defer fault.DisarmAll()
-	s, coord := testServer(t, Config{
-		Workers:          2,
-		Peers:            []string{"http://peer.invalid"},
-		BreakerThreshold: 2, BreakerCooldown: time.Hour,
+	_, coord := testServer(t, Config{
+		Workers: 2,
+		Peers:   []string{"http://peer.invalid"},
 	})
 
 	fault.MustArm("shard.dispatch", fault.Scenario{Times: -1})
 	solveOK(t, coord.URL, shardSolveReq(35)) // still 200: local fallback serves every shard
-	if got := s.peers[0].breaker.currentState(); got != breakerOpen {
-		t.Fatalf("peer breaker state %v after repeated dispatch failures, want open", got)
-	}
 
 	resp, err := http.Get(coord.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := decodeBody[Health](t, resp)
-	if got := h.Breakers["peer:http://peer.invalid"]; got != "open" {
-		t.Fatalf("healthz peer breaker %q, want open (breakers: %v)", got, h.Breakers)
+	if got := h.Peers["http://peer.invalid"].State; got != "quarantined" {
+		t.Fatalf("healthz peer state %q after repeated dispatch failures, want quarantined (peers: %v)", got, h.Peers)
+	}
+	if len(h.Breakers) != 2 {
+		t.Fatalf("healthz breakers %v, want only the decompose and solve endpoints", h.Breakers)
 	}
 }
 
-// TestCoordinatorBreakerHalfOpenSingleProbe races concurrent dispatches
-// against a peer breaker that just entered half-open: exactly one caller
-// may be admitted as the probe — a thundering herd onto a barely
-// recovering peer would re-kill it. Uses the same breaker construction
-// as the coordinator's peers with a controlled clock, and is meant to
-// run under -race.
+// TestCoordinatorBreakerHalfOpenSingleProbe races concurrent requests
+// against an endpoint breaker that just entered half-open: exactly one
+// caller may be admitted as the probe — a thundering herd onto a barely
+// recovering solver would re-kill it. Uses the endpoint breakers'
+// construction with a controlled clock, and is meant to run under -race.
 func TestCoordinatorBreakerHalfOpenSingleProbe(t *testing.T) {
 	base := time.Now()
 	var mu sync.Mutex

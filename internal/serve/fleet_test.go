@@ -157,7 +157,7 @@ func TestFleetChurnBitIdentical(t *testing.T) {
 	if sm.PeerQuarantined.Load() == quarantined {
 		t.Fatal("dead peer was never quarantined")
 	}
-	if st, _, _ := cs.peers[0].snapshot(); st != peerQuarantined {
+	if st, _, _ := cs.fleet.peers[0].snapshot(); st != peerQuarantined {
 		t.Fatalf("dead peer state %v after the run, want quarantined", st)
 	}
 
@@ -167,23 +167,23 @@ func TestFleetChurnBitIdentical(t *testing.T) {
 	fault.DisarmAll()
 	readmitted := sm.PeerReadmitted.Load()
 	cs.fleet.probeAll(context.Background())
-	if st, _, _ := cs.peers[0].snapshot(); st != peerHealthy {
+	if st, _, _ := cs.fleet.peers[0].snapshot(); st != peerHealthy {
 		t.Fatalf("restarted peer state %v after probe, want healthy", st)
 	}
 	if sm.PeerReadmitted.Load() == readmitted {
 		t.Fatal("readmission not recorded in fleet metrics")
 	}
-	if h := cs.peers[0].health(); h.Readmissions == 0 {
+	if h := cs.fleet.peers[0].health(); h.Readmissions == 0 {
 		t.Fatal("readmission not recorded in the peer's health payload")
 	}
 
 	// And the readmitted peer takes work again, answers still bit-identical.
-	before := cs.peers[0].health().Dispatches
+	before := cs.fleet.peers[0].health().Dispatches
 	again := solveOK(t, coord.URL, shardSolveReq(61))
 	if again.Energy != want.Energy {
 		t.Fatalf("post-readmission energy %v, want %v", again.Energy, want.Energy)
 	}
-	if cs.peers[0].health().Dispatches == before {
+	if cs.fleet.peers[0].health().Dispatches == before {
 		t.Fatal("readmitted peer took no dispatches")
 	}
 }
@@ -379,7 +379,7 @@ func TestCoordinatorDegradedStampNeverCached(t *testing.T) {
 }
 
 // TestHealthzReportsFleet: /healthz carries the per-peer fleet payload —
-// lifecycle state, breaker state and dispatch accounting per URL.
+// lifecycle state and dispatch accounting per URL.
 func TestHealthzReportsFleet(t *testing.T) {
 	_, peer := testServer(t, Config{Workers: 2})
 	_, coord := testServer(t, Config{Workers: 2, Peers: []string{peer.URL}})
@@ -399,8 +399,5 @@ func TestHealthzReportsFleet(t *testing.T) {
 	}
 	if ph.Dispatches == 0 {
 		t.Fatal("peer dispatch accounting missing from healthz")
-	}
-	if ph.Breaker != "closed" {
-		t.Fatalf("peer breaker %q, want closed", ph.Breaker)
 	}
 }

@@ -59,13 +59,13 @@ const quarantineAfter = 3
 // fleet.
 const ewmaAlpha = 0.3
 
-// peerClient is one fleet member: the daemon's base URL, a dedicated
-// circuit breaker (one dead peer trips its own breaker and stops eating
-// per-sub-solve timeouts), and the mutex-guarded lifecycle/score state
-// the pool's placement decisions read.
+// peerClient is one fleet member: the daemon's base URL and the
+// mutex-guarded lifecycle/score state the pool's placement decisions
+// read. The lifecycle is the only thing that decides whether a peer
+// gets work: a dead peer is quarantined after quarantineAfter failures
+// and stops eating per-sub-solve timeouts until a probe readmits it.
 type peerClient struct {
-	url     string
-	breaker *breaker
+	url string
 	// idx is the peer's position in the configured fleet — the stable
 	// key the serve.peer.* failpoints use to sicken one member.
 	idx int
@@ -101,17 +101,36 @@ func (p *peerClient) release() {
 	p.mu.Unlock()
 }
 
-// noteSuccess records a completed dispatch: the peer is (re)admitted to
-// the healthy set and its quality scores absorb the observation.
-func (p *peerClient) noteSuccess(latency time.Duration, sm *metrics.Sharding) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// readmit moves the peer back to healthy, counting a readmission when it
+// leaves quarantine. Callers hold p.mu.
+func (p *peerClient) readmit(sm *metrics.Sharding) {
 	if p.state == peerQuarantined {
 		p.readmissions++
 		sm.PeerReadmitted.Inc()
 	}
 	p.state = peerHealthy
 	p.consecFails = 0
+}
+
+// demote walks one failure down the ladder: healthy demotes to suspect,
+// a streak of quarantineAfter failures quarantines. Callers hold p.mu.
+func (p *peerClient) demote(sm *metrics.Sharding) {
+	p.consecFails++
+	switch {
+	case p.consecFails >= quarantineAfter && p.state != peerQuarantined:
+		p.state = peerQuarantined
+		sm.PeerQuarantined.Inc()
+	case p.state == peerHealthy:
+		p.state = peerSuspect
+	}
+}
+
+// noteSuccess records a completed dispatch: the peer is (re)admitted to
+// the healthy set and its quality scores absorb the observation.
+func (p *peerClient) noteSuccess(latency time.Duration, sm *metrics.Sharding) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.readmit(sm)
 	ms := float64(latency) / float64(time.Millisecond)
 	if p.ewmaLatencyMS == 0 {
 		p.ewmaLatencyMS = ms
@@ -121,21 +140,13 @@ func (p *peerClient) noteSuccess(latency time.Duration, sm *metrics.Sharding) {
 	p.errScore *= 1 - ewmaAlpha
 }
 
-// noteFailure records a failed dispatch: healthy demotes to suspect, a
-// streak of quarantineAfter failures quarantines.
+// noteFailure records a failed dispatch and demotes the peer.
 func (p *peerClient) noteFailure(sm *metrics.Sharding) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.failures++
-	p.consecFails++
 	p.errScore += ewmaAlpha * (1 - p.errScore)
-	switch {
-	case p.consecFails >= quarantineAfter && p.state != peerQuarantined:
-		p.state = peerQuarantined
-		sm.PeerQuarantined.Inc()
-	case p.state == peerHealthy:
-		p.state = peerSuspect
-	}
+	p.demote(sm)
 }
 
 // noteProbeSuccess records a green /readyz: a quarantined peer is
@@ -145,12 +156,7 @@ func (p *peerClient) noteProbeSuccess(sm *metrics.Sharding) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.probes++
-	if p.state == peerQuarantined {
-		p.readmissions++
-		sm.PeerReadmitted.Inc()
-	}
-	p.state = peerHealthy
-	p.consecFails = 0
+	p.readmit(sm)
 }
 
 // noteProbeFailure records a failed /readyz, walking the same demotion
@@ -160,15 +166,8 @@ func (p *peerClient) noteProbeFailure(sm *metrics.Sharding) {
 	defer p.mu.Unlock()
 	p.probes++
 	p.probeFails++
-	p.consecFails++
 	sm.PeerProbeFails.Inc()
-	switch {
-	case p.consecFails >= quarantineAfter && p.state != peerQuarantined:
-		p.state = peerQuarantined
-		sm.PeerQuarantined.Inc()
-	case p.state == peerHealthy:
-		p.state = peerSuspect
-	}
+	p.demote(sm)
 }
 
 // snapshot copies the placement-relevant state in one lock hold.
@@ -181,7 +180,6 @@ func (p *peerClient) snapshot() (state peerState, inflight int, ewmaMS float64) 
 // PeerHealth is one fleet member's entry in the /healthz payload.
 type PeerHealth struct {
 	State         string  `json:"state"` // "healthy", "suspect", "quarantined"
-	Breaker       string  `json:"breaker"`
 	InFlight      int     `json:"in_flight"`
 	EwmaLatencyMS float64 `json:"ewma_latency_ms"`
 	ErrorScore    float64 `json:"error_score"`
@@ -197,7 +195,6 @@ func (p *peerClient) health() PeerHealth {
 	defer p.mu.Unlock()
 	return PeerHealth{
 		State:         p.state.String(),
-		Breaker:       p.breaker.currentState().String(),
 		InFlight:      p.inflight,
 		EwmaLatencyMS: p.ewmaLatencyMS,
 		ErrorScore:    p.errScore,
@@ -211,7 +208,6 @@ func (p *peerClient) health() PeerHealth {
 
 // peerPool is the fleet manager: placement, health probing and the
 // hedge-threshold estimate over the configured peers. The peers slice is
-// shared with Server.peers (tests reach breakers through it) and is
 // immutable after construction — membership changes are state changes on
 // the members, never slice mutations.
 type peerPool struct {
@@ -249,20 +245,16 @@ func newPeerPool(peers []*peerClient, cfg Config) *peerPool {
 	}
 }
 
-// pick returns the dispatch target: the least-loaded healthy peer, or —
-// only when no healthy peer exists — the least-loaded suspect one
+// pickLoaded returns the dispatch target: the least-loaded healthy peer,
+// or — only when no healthy peer exists — the least-loaded suspect one
 // (giving a wobbling peer its rehabilitation traffic instead of
 // abandoning the fleet). Ties break on EWMA latency, then on index for
 // determinism. Quarantined and excluded peers never come back; nil means
 // the healthy set is exhausted and the caller must fall back locally.
-func (pl *peerPool) pick(exclude map[*peerClient]bool) *peerClient {
-	return pl.pickLoaded(exclude, nil)
-}
-
-// pickLoaded is pick with an extra per-peer load map folded into the
-// in-flight count — the coordinator passes the assignments it has made
-// this round but not yet dispatched, so one round's sub-solves spread
-// across the fleet instead of all landing on the currently idlest peer.
+// extra is folded into each peer's in-flight count: the coordinator
+// passes the assignments it has made this round but not yet dispatched,
+// so one round's sub-solves spread across the fleet instead of all
+// landing on the currently idlest peer.
 func (pl *peerPool) pickLoaded(exclude map[*peerClient]bool, extra map[*peerClient]int) *peerClient {
 	var best *peerClient
 	bestLoad, bestLat := 0, 0.0

@@ -80,9 +80,10 @@ type Config struct {
 	BreakerCooldown  time.Duration
 	// Peers lists peer daemon base URLs (e.g. "http://10.0.0.2:8080")
 	// for coordinator mode: a sharded /v1/solve request ("shard" > 0)
-	// dispatches its sub-solves across them over the same /v1/solve wire
-	// format, breaker-guarded per peer with bit-identical local fallback.
-	// Empty keeps every sub-solve in-process.
+	// dispatches its sub-solves across them over the batch form of the
+	// /v1/solve wire format, each peer health-gated by its fleet
+	// lifecycle, with bit-identical local fallback. Empty keeps every
+	// sub-solve in-process.
 	Peers []string
 	// ShardTimeout is the per-shard peer deadline in coordinator mode
 	// (default 10s): a straggling peer fails that one sub-solve over to
@@ -224,10 +225,9 @@ type Server struct {
 	decomposeBreaker *breaker
 	solveBreaker     *breaker
 
-	// peers are the coordinator-mode sub-solve targets (Config.Peers),
-	// each behind its own breaker; fleet is the pool managing their
-	// lifecycle, placement and hedging (nil without peers).
-	peers []*peerClient
+	// fleet manages the coordinator-mode sub-solve targets
+	// (Config.Peers): their lifecycle, placement and hedging (nil
+	// without peers).
 	fleet *peerPool
 }
 
@@ -248,15 +248,12 @@ func New(cfg Config) *Server {
 		decomposeBreaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock.Now),
 		solveBreaker:     newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock.Now),
 	}
-	for i, url := range cfg.Peers {
-		s.peers = append(s.peers, &peerClient{
-			url:     url,
-			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock.Now),
-			idx:     i,
-		})
-	}
-	if len(s.peers) > 0 {
-		s.fleet = newPeerPool(s.peers, cfg)
+	if len(cfg.Peers) > 0 {
+		peers := make([]*peerClient, len(cfg.Peers))
+		for i, url := range cfg.Peers {
+			peers[i] = &peerClient{url: url, idx: i}
+		}
+		s.fleet = newPeerPool(peers, cfg)
 	}
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
 	s.mux.HandleFunc("POST /v1/decompose", s.handleDecompose)
@@ -585,7 +582,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		runErr = s.withRetries(ctx, met, func() error {
 			var err error
-			if req.Shard > 0 && len(s.peers) > 0 {
+			if req.Shard > 0 && s.fleet != nil {
 				// Coordinator mode: sub-solves fan out to the peer daemons,
 				// fleet-managed with bit-identical local fallback, so the
 				// answer matches the single-node sharded solve exactly.
@@ -806,21 +803,34 @@ func (s *Server) buildSolve(req *SolveRequest) (*isinglut.IsingProblem, isinglut
 			return nil, opts, fmt.Errorf("epsilon must be finite and non-negative, got %g", req.Epsilon)
 		}
 	}
-	p := isinglut.NewIsingProblem(req.N)
-	for _, c := range req.Couplings {
+	// Duplicate and mirrored couplings accumulate, exactly as solveKey
+	// sums them, so requests sharing a cache slot share a problem. The
+	// triplet build is O(couplings); the solver then picks dense or CSR
+	// from the density.
+	cs := make([]isinglut.IsingCoupling, len(req.Couplings))
+	for k, c := range req.Couplings {
 		if c.I < 0 || c.I >= req.N || c.J < 0 || c.J >= req.N || c.I == c.J {
 			return nil, opts, fmt.Errorf("coupling (%d,%d) out of range for n=%d", c.I, c.J, req.N)
 		}
 		if math.IsNaN(c.V) || math.IsInf(c.V, 0) {
 			return nil, opts, fmt.Errorf("coupling (%d,%d) value must be finite, got %g", c.I, c.J, c.V)
 		}
-		p.SetCoupling(c.I, c.J, c.V)
+		cs[k] = isinglut.IsingCoupling{I: c.I, J: c.J, V: c.V}
+	}
+	p, err := isinglut.NewSparseIsingProblem(req.N, cs)
+	if err != nil {
+		return nil, opts, err
 	}
 	for i, b := range req.Biases {
 		if math.IsNaN(b) || math.IsInf(b, 0) {
 			return nil, opts, fmt.Errorf("bias %d must be finite, got %g", i, b)
 		}
 		p.SetBias(i, b)
+	}
+	// Summed duplicates can overflow even when every value is finite
+	// (1.5e308 twice): that is still malformed input, not a solver fault.
+	if err := p.Validate(); err != nil {
+		return nil, opts, err
 	}
 	switch req.Variant {
 	case "", "bsb":
@@ -835,11 +845,8 @@ func (s *Server) buildSolve(req *SolveRequest) (*isinglut.IsingProblem, isinglut
 	default:
 		return nil, opts, fmt.Errorf("unknown variant %q (want bsb, asb or dsb)", req.Variant)
 	}
-	if req.Quant && opts.Variant != isinglut.DiscreteSB {
-		return nil, opts, fmt.Errorf("quant requires variant \"dsb\", got %q", req.Variant)
-	}
-	if req.BitPack && opts.Variant != isinglut.DiscreteSB {
-		return nil, opts, fmt.Errorf("bitpack requires variant \"dsb\", got %q", req.Variant)
+	if req.quant() && opts.Variant != isinglut.DiscreteSB {
+		return nil, opts, fmt.Errorf("quant (or its alias bitpack) requires variant \"dsb\", got %q", req.Variant)
 	}
 	opts.Steps = req.Steps
 	if req.Dt > 0 {
@@ -848,13 +855,10 @@ func (s *Server) buildSolve(req *SolveRequest) (*isinglut.IsingProblem, isinglut
 	opts.Seed = req.Seed
 	opts.Replicas = req.Replicas
 	opts.Workers = req.Workers
-	opts.Fused = req.Fused
 	opts.DynamicStop = req.DynamicStop
 	opts.F, opts.S, opts.Epsilon = req.F, req.S, req.Epsilon
 	opts.Rescue = req.Rescue
-	opts.Sparse = req.Sparse
-	opts.Quantize = req.Quant
-	opts.BitPack = req.BitPack
+	opts.Quantize = req.quant()
 	if req.Shard < 0 {
 		return nil, opts, fmt.Errorf("shard must be non-negative, got %d", req.Shard)
 	}
@@ -890,9 +894,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"decompose": s.decomposeBreaker.currentState().String(),
 			"solve":     s.solveBreaker.currentState().String(),
 		},
-	}
-	for _, p := range s.peers {
-		h.Breakers["peer:"+p.url] = p.breaker.currentState().String()
 	}
 	if s.fleet != nil {
 		h.Peers = s.fleet.fleetHealth()

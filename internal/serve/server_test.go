@@ -434,10 +434,9 @@ func ringCouplings(n int) []Coupling {
 	return cs
 }
 
-// TestSolveFusedSharesCacheSlot: the fused and unfused engines return
-// bit-identical results, so "fused": true is deliberately excluded from
-// the cache key — the second request (different engine, same problem)
-// must be a cache hit with the same answer.
+// TestSolveFusedSharesCacheSlot: "fused" is a no-op kept for older
+// clients — it still decodes, stays out of the cache key, and a request
+// carrying it shares the slot (and the answer) of its plain twin.
 func TestSolveFusedSharesCacheSlot(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	base := SolveRequest{
@@ -463,9 +462,10 @@ func TestSolveFusedSharesCacheSlot(t *testing.T) {
 	}
 }
 
-// TestSolveSparseSharesCacheSlot: the CSR coupler is bit-identical to the
-// dense one, so "sparse": true is excluded from the cache key — a sparse
-// request fills the slot its plain twin reads.
+// TestSolveSparseSharesCacheSlot: "sparse" is a no-op kept for older
+// clients (the solver picks CSR or dense from the density itself) — it
+// still decodes, and a request carrying it fills the slot its plain twin
+// reads.
 func TestSolveSparseSharesCacheSlot(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	base := SolveRequest{

@@ -11,9 +11,12 @@ import (
 // TestSolveRequestValidation walks every numeric knob of /v1/solve
 // through its invalid range and requires a 400: malformed input is the
 // client's error and must never reach the solver layer, whose parameter
-// checks panic by design.
+// checks panic by design. The solve breaker opens on a single solver
+// failure here, so it must still be closed at the end: no malformed
+// body may count as one, or a few of them would shut the endpoint for
+// every client.
 func TestSolveRequestValidation(t *testing.T) {
-	_, ts := testServer(t, Config{MaxSteps: 1000, MaxReplicas: 8})
+	s, ts := testServer(t, Config{MaxSteps: 1000, MaxReplicas: 8, BreakerThreshold: 1})
 	base := func() SolveRequest {
 		return SolveRequest{N: 4, Steps: 10, Couplings: ringCouplings(4)}
 	}
@@ -36,6 +39,10 @@ func TestSolveRequestValidation(t *testing.T) {
 		}, "out of range"},
 		{"bias length mismatch", func(r *SolveRequest) { r.Biases = []float64{1} }, "biases"},
 		{"bitpack without dsb", func(r *SolveRequest) { r.BitPack = true }, "bitpack"},
+		// Each value is finite; their sum on the one pair is +Inf.
+		{"summed couplings overflow", func(r *SolveRequest) {
+			r.Couplings = []Coupling{{I: 0, J: 1, V: 1e308}, {I: 1, J: 0, V: 1e308}}
+		}, "non-finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,6 +56,9 @@ func TestSolveRequestValidation(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", body.Error, tc.mention)
 			}
 		})
+	}
+	if got := s.solveBreaker.currentState(); got != breakerClosed {
+		t.Fatalf("solve breaker %v after malformed bodies, want closed", got)
 	}
 }
 

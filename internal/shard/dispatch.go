@@ -95,7 +95,9 @@ func (d *LocalDispatcher) Solve(ctx context.Context, sub SubProblem) (SubResult,
 	if err != nil {
 		return SubResult{}, fmt.Errorf("shard %d: %w", sub.Index, err)
 	}
-	prob, err := ising.NewProblem(coup, sub.Bias, 0)
+	// The same density policy a peer applies to the sub-solve it
+	// receives, so both report the same kernels.
+	prob, err := ising.NewProblem(ising.CompactCoupler(coup), sub.Bias, 0)
 	if err != nil {
 		return SubResult{}, fmt.Errorf("shard %d: %w", sub.Index, err)
 	}

@@ -113,10 +113,10 @@ type Result struct {
 	// Quantized reports that every successful sub-solve ran on the
 	// fixed-point kernels (Config.Base.Quantize accepted everywhere).
 	Quantized bool
-	// BitPacked reports that every successful sub-solve ran on the
-	// bit-packed popcount kernels (Config.Base.BitPack accepted
-	// everywhere — small shards may fall back to the scalar quantized
-	// kernels through the density × width dispatch, clearing it).
+	// BitPacked reports that every successful quantized sub-solve ran on
+	// the bit-packed popcount kernels (small shards may stay on the
+	// scalar quantized kernels through the density × width rule,
+	// clearing it).
 	BitPacked bool
 	// Stopped reports why the solve ended: StopConverged (Patience dry
 	// rounds), StopMaxIters (round budget), or StopCancelled/StopDeadline

@@ -17,12 +17,14 @@ import (
 // the same solver stack the decomposer uses (bSB/aSB/dSB and simulated
 // annealing) for unrelated combinatorial problems such as max-cut.
 //
-// The default builder (NewIsingProblem) stores the couplings densely:
-// n² float64 slots, which is the fastest representation up to a few
-// thousand spins. NewSparseIsingProblem stores them in CSR form instead,
-// so oversized sparse instances (n ≫ 10³) never materialize the dense
-// matrix at all — the combination that the sharded solver
-// (SBOptions.MaxShard) is built for.
+// The default builder (NewIsingProblem) stores the couplings densely in
+// n² float64 slots. NewSparseIsingProblem stores them in CSR form
+// instead, so oversized sparse instances (n ≫ 10³) never materialize the
+// dense matrix at all — the combination that the sharded solver
+// (SBOptions.MaxShard) is built for. The storage is only how the problem
+// is built: every solve runs on the representation the density policy
+// picks (CSR at or below 25% density, dense above it), with
+// bit-identical results either way.
 type IsingProblem struct {
 	dense  *ising.Dense  // nil for sparse-backed problems
 	sparse *ising.Sparse // nil for dense-backed problems
@@ -86,7 +88,7 @@ func (p *IsingProblem) SetBias(i int, v float64) { p.h[i] = v }
 
 // Energy evaluates Eq. 1 on a ±1 spin assignment.
 func (p *IsingProblem) Energy(spins []int8) float64 {
-	return p.problem().Energy(spins)
+	return p.stored().Energy(spins)
 }
 
 // Validate reports whether the problem is numerically well-formed:
@@ -112,11 +114,23 @@ func (p *IsingProblem) Validate() error {
 	return nil
 }
 
-func (p *IsingProblem) problem() *ising.Problem {
+// stored wires the couplings, as the builder holds them, into a problem.
+func (p *IsingProblem) stored() *ising.Problem {
 	prob, err := ising.NewProblem(p.coupler(), p.h, 0)
 	if err != nil {
 		panic(err) // builder keeps dimensions consistent
 	}
+	return prob
+}
+
+// problem is the instance every SB path solves (direct, batch and
+// sharded): the couplings in the representation ising.CompactCoupler
+// picks from their density, CSR at or below ising.DefaultSparseDensity
+// and dense above it. The two are bit-identical, so the choice changes
+// the field kernel's cost and never an answer.
+func (p *IsingProblem) problem() *ising.Problem {
+	prob := p.stored()
+	prob.Coup = ising.CompactCoupler(prob.Coup)
 	return prob
 }
 
@@ -148,32 +162,20 @@ type SBOptions struct {
 	Trace bool
 	// Replicas > 1 runs that many independent trajectories (seeds
 	// Seed, Seed+1, ...) and keeps the best — the software counterpart of
-	// SB hardware's parallel replica execution. Workers bounds their
-	// concurrency (0 = GOMAXPROCS); results are deterministic for a fixed
+	// SB hardware's parallel replica execution. Without Trace the
+	// replicas advance in lock-step on the fused engine, which streams
+	// the coupling matrix once per Euler step for the whole batch; with
+	// Trace each runs its own goroutine, Workers bounding their
+	// concurrency (0 = GOMAXPROCS). Results are deterministic for a fixed
 	// seed regardless of Workers.
 	Replicas int
 	Workers  int
-	// Fused forces the fused replica engine: all replicas advance in
-	// lock-step so each Euler step streams the coupling matrix once for
-	// the whole batch instead of once per replica. Multi-replica solves
-	// without Trace already use the fused engine automatically; the flag
-	// exists to pin the engine explicitly (e.g. for benchmarking) and is
-	// rejected with an error when combined with Trace, which needs
-	// per-replica control flow. Results are bit-identical either way.
-	Fused bool
 	// Rescue enables the one-shot divergence rescue: a trajectory whose
 	// dynamics overflow the finite range is re-seeded once from its own
 	// seed with a halved time step instead of being quarantined with
 	// energy +Inf. Off by default — a diverged run then reports
 	// StopReason "diverged" and IsingResult.Diverged.
 	Rescue bool
-	// Sparse routes the solve through the CSR sparse coupler when the
-	// problem's density is at or below the auto-pick threshold
-	// (ising.DefaultSparseDensity); denser problems keep the dense kernel.
-	// Results are bit-identical either way — the flag only changes the
-	// field-kernel cost, trading the dense kernel's n² streaming for an
-	// nnz-bound walk.
-	Sparse bool
 	// Quantize enables the int8/int16 fixed-point dSB fast path: the
 	// coupling is quantized once per solve and the per-step field product
 	// runs on integer accumulation, rescaling only at sample points
@@ -183,26 +185,17 @@ type SBOptions struct {
 	// within the envelope pinned by the differential tests.
 	// IsingResult.Quantized reports whether the fast path actually ran; a
 	// coupling that fails to quantize falls back to float64 silently.
+	// Where the density × width rule says it pays, the quantized field
+	// product runs on bit-packed popcount kernels, bit-identical to the
+	// scalar integer ones; IsingResult.BitPacked reports it.
 	Quantize bool
-	// BitPack layers the popcount fast path on top of Quantize: the
-	// quantized codes are re-packed into sign+magnitude bit-planes and
-	// every per-step field product runs on AND+POPCNT sweeps over packed
-	// ±1 spin masks — bit-identical to the Quantize path (same integer
-	// fields, same trajectories, same spins), so it changes throughput
-	// only. Requires Variant == DiscreteSB and implies Quantize.
-	// IsingResult.BitPacked reports whether the packed kernels actually
-	// ran: a coupling that fails to quantize falls back to float64, and
-	// one whose density × width heuristic rejects packing (tiny or very
-	// sparse instances) stays on the scalar quantized kernels.
-	BitPack bool
 	// MaxShard > 0 routes the solve through the shard-and-exchange
 	// decomposition layer: the coupling graph is split into subproblems
 	// of at most MaxShard spins (greedy |J|-weighted growth), each is
 	// solved on the batch engine with its boundary spins clamped to the
 	// current global state, and exchange rounds iterate until the global
 	// energy stabilizes. This is the path for instances one SB solve
-	// cannot hold; Trace is not supported through it and Fused is
-	// meaningless (the shard layer drives the batch engine itself).
+	// cannot hold; Trace is not supported through it.
 	MaxShard int
 	// ShardRounds bounds the exchange rounds of a sharded solve
 	// (default 12). Only meaningful with MaxShard > 0.
@@ -243,8 +236,8 @@ type IsingResult struct {
 	// Quantized reports that the solve ran on the fixed-point field
 	// kernels (SBOptions.Quantize accepted and the coupling quantized).
 	Quantized bool
-	// BitPacked reports that the solve ran on the bit-packed popcount
-	// kernels (SBOptions.BitPack accepted by the packing heuristic).
+	// BitPacked reports that the quantized solve ran on the bit-packed
+	// popcount kernels (the packing rule accepted the coupling).
 	BitPacked bool
 	// Shards is the partition size of a sharded solve (0 for a direct
 	// solve); ExchangeRounds the exchange rounds it executed.
@@ -303,44 +296,21 @@ func SolveIsingContext(ctx context.Context, p *IsingProblem, opts SBOptions) (Is
 			params.SampleEvery = 10
 		}
 	}
-	if opts.Fused && opts.Trace {
-		return IsingResult{}, fmt.Errorf("isinglut: Fused and Trace are mutually exclusive (trace recording needs per-replica control flow)")
-	}
 	if opts.Quantize && opts.Variant != DiscreteSB {
 		return IsingResult{}, fmt.Errorf("isinglut: Quantize requires the DiscreteSB variant (got %s)", opts.Variant)
 	}
-	if opts.BitPack && opts.Variant != DiscreteSB {
-		return IsingResult{}, fmt.Errorf("isinglut: BitPack requires the DiscreteSB variant (got %s)", opts.Variant)
-	}
 	params.Quantize = opts.Quantize
-	params.BitPack = opts.BitPack
 	prob := p.problem()
-	if opts.Sparse && p.dense != nil {
-		// Auto-pick: CSR when the instance is sparse enough to win, the
-		// original dense coupler otherwise. Bit-identical results either
-		// way, so the flag is purely a performance hint. (A sparse-backed
-		// problem is already CSR, so the flag is a no-op there.)
-		prob.Coup = ising.CompactCoupler(p.dense)
-	}
 	replicas := 1
 	earlyStops := 0
 	divergedReplicas := 0
 	var res sb.Result
 	stopReason := ""
-	if opts.Replicas > 1 || opts.Fused {
-		nrep := opts.Replicas
-		if nrep < 1 {
-			nrep = 1
-		}
-		fuse := sb.FuseAuto
-		if opts.Fused {
-			fuse = sb.FuseOn
-		}
+	if opts.Replicas > 1 {
 		batch, stats := sb.SolveBatch(ctx, prob, sb.BatchParams{
 			Base:     params,
-			Replicas: nrep,
+			Replicas: opts.Replicas,
 			Workers:  opts.Workers,
-			Fused:    fuse,
 		})
 		res = batch
 		replicas = stats.Replicas
@@ -419,9 +389,6 @@ func SolveIsingShardedContext(ctx context.Context, p *IsingProblem, opts SBOptio
 	if opts.Quantize && opts.Variant != DiscreteSB {
 		return IsingResult{}, fmt.Errorf("isinglut: Quantize requires the DiscreteSB variant (got %s)", opts.Variant)
 	}
-	if opts.BitPack && opts.Variant != DiscreteSB {
-		return IsingResult{}, fmt.Errorf("isinglut: BitPack requires the DiscreteSB variant (got %s)", opts.Variant)
-	}
 	res, err := shard.Solve(ctx, p.problem(), shard.Config{
 		MaxShard: opts.MaxShard,
 		Rounds:   opts.ShardRounds,
@@ -466,7 +433,6 @@ func shardBaseParams(opts SBOptions) sb.Params {
 	}
 	base.RescueDiverged = opts.Rescue
 	base.Quantize = opts.Quantize
-	base.BitPack = opts.BitPack
 	if opts.DynamicStop {
 		f, s, eps := opts.F, opts.S, opts.Epsilon
 		if f <= 0 {
@@ -486,7 +452,7 @@ func shardBaseParams(opts SBOptions) sb.Params {
 // NewLocalShardDispatcher returns the in-process sub-solve dispatcher a
 // sharded solve uses by default, parameterized exactly as
 // SolveIsingShardedContext(..., nil) would. The serve-layer coordinator
-// holds one as its breaker-guarded local fallback: a sub-solve that
+// holds one as its local fallback: a sub-solve that
 // fails over from a peer to this dispatcher produces the bit-identical
 // result the peer would have returned.
 func NewLocalShardDispatcher(opts SBOptions) ShardDispatcher {
@@ -512,7 +478,7 @@ func AnnealIsingContext(ctx context.Context, p *IsingProblem, sweeps int, tStart
 	if sweeps <= 0 || !(tStart > 0) || !(tEnd > 0) || tEnd > tStart || math.IsInf(tStart, 0) {
 		return IsingResult{}, fmt.Errorf("isinglut: invalid annealing schedule (sweeps=%d, T %g->%g)", sweeps, tStart, tEnd)
 	}
-	res := anneal.Solve(ctx, p.problem(), anneal.Params{Sweeps: sweeps, TStart: tStart, TEnd: tEnd, Seed: seed})
+	res := anneal.Solve(ctx, p.stored(), anneal.Params{Sweeps: sweeps, TStart: tStart, TEnd: tEnd, Seed: seed})
 	return IsingResult{
 		Spins:      res.Spins,
 		Energy:     res.Energy,

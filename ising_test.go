@@ -123,81 +123,96 @@ func TestIsingProblemBiasAndEnergy(t *testing.T) {
 	}
 }
 
-// TestSolveIsingFused pins the public Fused option: forcing the fused
-// engine returns exactly the same result as the default (auto) and the
-// explicit multi-replica path, and the incompatible Fused+Trace
-// combination is rejected up front.
+// TestSolveIsingFused pins the engine choice behind the public API: a
+// multi-replica solve runs on the fused engine, a traced one on the
+// per-replica goroutine engine (trace recording needs per-replica
+// control flow), and both return exactly the same answer. The dynamic
+// stop is here only because it fixes the sample cadence: without it,
+// Trace also sets SampleEvery=10, which adds best-so-far sample points
+// and can change the winner's spins (a known defect, logged in
+// CHANGES.md for a follow-up). So this covers the dynamic-stop
+// configuration, not the default one; the default-configuration engine
+// contract is pinned in internal/sb (TestSolveFusedBitIdenticalToUnfused)
+// and by the fixed-seed goldens in golden_test.go.
 func TestSolveIsingFused(t *testing.T) {
 	p := maxCutProblem()
-	base := isinglut.SBOptions{Steps: 400, Seed: 9, Replicas: 4}
-	auto, err := isinglut.SolveIsing(p, base)
+	base := isinglut.SBOptions{Steps: 400, Seed: 9, Replicas: 4, DynamicStop: true, F: 10, S: 8}
+	fused, err := isinglut.SolveIsing(p, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced := base
-	forced.Fused = true
-	fused, err := isinglut.SolveIsing(p, forced)
+	traced := base
+	traced.Trace = true
+	perReplica, err := isinglut.SolveIsing(p, traced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fused.Energy != auto.Energy || fused.Iterations != auto.Iterations ||
-		fused.Replicas != auto.Replicas || fused.EarlyStops != auto.EarlyStops {
-		t.Fatalf("fused result (E=%g, it=%d) != auto result (E=%g, it=%d)",
-			fused.Energy, fused.Iterations, auto.Energy, auto.Iterations)
+	if len(perReplica.Trace) == 0 {
+		t.Fatal("traced batch recorded no trace")
+	}
+	if fused.Energy != perReplica.Energy || fused.Iterations != perReplica.Iterations ||
+		fused.Replicas != perReplica.Replicas || fused.EarlyStops != perReplica.EarlyStops {
+		t.Fatalf("fused result (E=%g, it=%d) != per-replica result (E=%g, it=%d)",
+			fused.Energy, fused.Iterations, perReplica.Energy, perReplica.Iterations)
 	}
 	for i := range fused.Spins {
-		if fused.Spins[i] != auto.Spins[i] {
+		if fused.Spins[i] != perReplica.Spins[i] {
 			t.Fatalf("fused spins differ at %d", i)
 		}
 	}
-
-	// Fused with a single trajectory still answers (a 1-replica batch).
-	single, err := isinglut.SolveIsing(p, isinglut.SBOptions{Steps: 400, Seed: 9, Fused: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.Replicas != 1 || len(single.Spins) != p.N() {
-		t.Fatalf("single fused solve: %d replicas, %d spins", single.Replicas, len(single.Spins))
-	}
-
-	// Trace needs per-replica control flow the fused engine refuses.
-	bad := base
-	bad.Fused = true
-	bad.Trace = true
-	if _, err := isinglut.SolveIsing(p, bad); err == nil {
-		t.Fatal("Fused+Trace accepted, want an error")
-	}
 }
 
-// TestSolveIsingSparseBitIdentity: the Sparse hint routes a low-density
-// instance onto the CSR coupler, which must not change a single bit of
-// the result — only which kernel streams J.
+// TestSolveIsingSparseBitIdentity checks build-path equivalence: a
+// problem's storage — the dense builder or CSR triplets — never changes
+// a bit of the result. Both sides run on the representation the density
+// policy picks (CSR for a 3%-dense ring, the dense layout for a
+// 60%-dense glass), so they share one kernel; this is not a
+// dense-vs-CSR kernel comparison. That kernel contract is pinned by
+// TestOracleSparseDenseBitIdentity (oracle_test.go), which drives
+// internal/sb directly on both couplers.
 func TestSolveIsingSparseBitIdentity(t *testing.T) {
 	n := 64
-	p := isinglut.NewIsingProblem(n)
-	for i := 0; i < n; i++ {
-		p.SetCoupling(i, (i+1)%n, -1) // ring: ~3% dense, CSR auto-picks
+	ring := make([]isinglut.IsingCoupling, n)
+	for i := range ring {
+		ring[i] = isinglut.IsingCoupling{I: i, J: (i + 1) % n, V: -1}
 	}
-	for _, v := range []isinglut.SBVariant{isinglut.BallisticSB, isinglut.DiscreteSB} {
-		for _, replicas := range []int{1, 4} {
-			opts := isinglut.SBOptions{Variant: v, Steps: 300, Seed: 7, Replicas: replicas}
-			dense, err := isinglut.SolveIsing(p, opts)
-			if err != nil {
-				t.Fatal(err)
+	var glass []isinglut.IsingCoupling
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if (i*7+j*13)%5 < 3 {
+				glass = append(glass, isinglut.IsingCoupling{I: i, J: j, V: float64((i+j)%7) - 3})
 			}
-			opts.Sparse = true
-			sparse, err := isinglut.SolveIsing(p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(dense.Energy) != math.Float64bits(sparse.Energy) ||
-				dense.Iterations != sparse.Iterations {
-				t.Fatalf("%v r=%d: dense (E=%.17g, it=%d) != sparse (E=%.17g, it=%d)",
-					v, replicas, dense.Energy, dense.Iterations, sparse.Energy, sparse.Iterations)
-			}
-			for i := range dense.Spins {
-				if dense.Spins[i] != sparse.Spins[i] {
-					t.Fatalf("%v r=%d: spins differ at %d", v, replicas, i)
+		}
+	}
+	for name, cs := range map[string][]isinglut.IsingCoupling{"ring": ring, "glass": glass} {
+		built := isinglut.NewIsingProblem(n)
+		for _, c := range cs {
+			built.SetCoupling(c.I, c.J, c.V)
+		}
+		csr, err := isinglut.NewSparseIsingProblem(n, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []isinglut.SBVariant{isinglut.BallisticSB, isinglut.DiscreteSB} {
+			for _, replicas := range []int{1, 4} {
+				opts := isinglut.SBOptions{Variant: v, Steps: 300, Seed: 7, Replicas: replicas}
+				dense, err := isinglut.SolveIsing(built, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sparse, err := isinglut.SolveIsing(csr, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(dense.Energy) != math.Float64bits(sparse.Energy) ||
+					dense.Iterations != sparse.Iterations {
+					t.Fatalf("%s %v r=%d: dense-built (E=%.17g, it=%d) != CSR-built (E=%.17g, it=%d)",
+						name, v, replicas, dense.Energy, dense.Iterations, sparse.Energy, sparse.Iterations)
+				}
+				for i := range dense.Spins {
+					if dense.Spins[i] != sparse.Spins[i] {
+						t.Fatalf("%s %v r=%d: spins differ at %d", name, v, replicas, i)
+					}
 				}
 			}
 		}

@@ -38,6 +38,7 @@ import (
 
 	"isinglut/internal/anneal"
 	"isinglut/internal/core"
+	"isinglut/internal/fault"
 	"isinglut/internal/ilp"
 	"isinglut/internal/ising"
 	"isinglut/internal/partition"
@@ -221,8 +222,12 @@ func TestOracleSparseDenseBitIdentity(t *testing.T) {
 // the true ground energy to oracle tolerance (not merely to the
 // quantization envelope). This pins the envelope contract end to end:
 // kernel-level deviation is bounded (TestQuantizeErrorEnvelope), and
-// solve-level answers stay exact.
+// solve-level answers stay exact. The bit-planes are refused here so the
+// scalar integer kernels are the ones checked; the packed kernels have
+// TestOracleBitPackedGroundState.
 func TestOracleQuantizedEnvelope(t *testing.T) {
+	fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
+	defer fault.Disarm("ising.bitpack.pack")
 	for _, trial := range []int{0, 1, 2, 5, 7, 8, 10, 11, 13, 14} {
 		p, seed := denseTrialProblem(trial)
 		_, ground := ising.BruteForce(p)
@@ -232,8 +237,8 @@ func TestOracleQuantizedEnvelope(t *testing.T) {
 		params.Seed = seed
 		params.Quantize = true
 		res, stats := sb.SolveBatch(context.Background(), p, sb.BatchParams{Base: params, Replicas: 16, Workers: 4})
-		if !res.Quantized {
-			t.Fatalf("seed %d: quantized fast path not taken", seed)
+		if !res.Quantized || res.BitPacked {
+			t.Fatalf("seed %d: scalar quantized path not taken (quantized=%v bitpacked=%v)", seed, res.Quantized, res.BitPacked)
 		}
 		if got := p.Energy(res.Spins); math.Abs(got-res.Energy) > oracleTol {
 			t.Errorf("seed %d: reported energy %.12f but spins evaluate to %.12f (exact J)", seed, res.Energy, got)
@@ -252,7 +257,8 @@ func TestOracleQuantizedEnvelope(t *testing.T) {
 // (pinned by the differential suites), so it must inherit the quantized
 // envelope result wholesale — exhaustively verified ground states, exact
 // reported energies. Trials are restricted to n ≥ 9, the smallest dense
-// instance the density × width dispatch accepts for int8 planes.
+// instance the density × width dispatch accepts for int8 planes, so
+// every quantized batch here packs.
 func TestOracleBitPackedGroundState(t *testing.T) {
 	for _, trial := range []int{3, 4, 5, 6, 10, 11, 12, 13} {
 		p, seed := denseTrialProblem(trial)
@@ -261,7 +267,7 @@ func TestOracleBitPackedGroundState(t *testing.T) {
 		params := sb.DefaultParamsFor(sb.Discrete)
 		params.Steps = 2000
 		params.Seed = seed
-		params.BitPack = true
+		params.Quantize = true
 		res, stats := sb.SolveBatch(context.Background(), p, sb.BatchParams{Base: params, Replicas: 16, Workers: 4})
 		if !res.Quantized || !res.BitPacked {
 			t.Fatalf("seed %d: bit-packed fast path not taken (quantized=%v bitpacked=%v)",
